@@ -27,10 +27,9 @@
 //! Timings are wall-clock and machine-dependent; the recorded CSVs are
 //! a snapshot, the agreement counters are invariants.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::campaign::{run_grid, Csv};
 use crate::seeding::job_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,12 +157,7 @@ pub struct AdmitCell {
 impl AdmitCell {
     /// Warm-over-cold throughput ratio.
     pub fn speedup(&self) -> f64 {
-        let cold = self.cold.rate();
-        if cold > 0.0 {
-            self.warm.rate() / cold
-        } else {
-            f64::NAN
-        }
+        speedup(&self.warm, &self.cold)
     }
 }
 
@@ -311,77 +305,76 @@ fn evaluate_run(
 /// verdicts in (cell, run) order. Outcome *verdicts* are deterministic
 /// for a given config; the timings are wall-clock.
 pub fn run_admit_study(cfg: &AdmitStudyConfig) -> AdmitOutcome {
-    let cells: Vec<(usize, f64, AdmissionMode)> = cfg
+    let cells: Vec<(usize, (usize, f64), AdmissionMode)> = cfg
         .shapes
         .iter()
-        .flat_map(|&(n, u)| cfg.modes.iter().map(move |&mode| (n, u, mode)))
+        .enumerate()
+        .flat_map(|(i, &shape)| cfg.modes.iter().map(move |&mode| (i, shape, mode)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.systems_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<AdmitVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                // Same shape + run index → same system seed, so every
-                // mode (and both arms) sees identical systems.
-                let (n, u, _) = cells[c];
-                let shape_index = cfg
-                    .shapes
-                    .iter()
-                    .position(|&s| s == (n, u))
-                    .expect("own shape");
-                let system_seed = job_seed(cfg.seed, shape_index, r);
-                let verdict = evaluate_run(cells[c], r, system_seed, cfg.churn_rounds);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
-    });
-    let verdicts: Vec<AdmitVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
+    let verdicts = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.systems_per_cell,
+        cfg.threads,
+        |&(shape_index, (n, u), mode), job| {
+            // Same shape + run index → same system seed, so every mode
+            // (and both arms) sees identical systems.
+            let system_seed = job_seed(cfg.seed, shape_index, job.run);
+            evaluate_run((n, u, mode), job.run, system_seed, cfg.churn_rounds)
+        },
+    );
 
     let cells = cells
         .iter()
-        .enumerate()
-        .map(|(c, &(n, u, mode))| {
-            let runs = &verdicts[c * cfg.systems_per_cell..(c + 1) * cfg.systems_per_cell];
-            let mut cell = AdmitCell {
+        .zip(&verdicts)
+        .map(|(&(_, (n, u), mode), runs)| {
+            let (runs, warm, cold, disagreements) = fold_runs(runs);
+            AdmitCell {
                 n,
                 u,
                 mode,
-                runs: runs.len(),
-                warm: AdmitArm::default(),
-                cold: AdmitArm::default(),
-                disagreements: 0,
-            };
-            for v in runs {
-                for (total, arm) in [(&mut cell.warm, &v.warm), (&mut cell.cold, &v.cold)] {
-                    total.ops += arm.ops;
-                    total.admitted += arm.admitted;
-                    total.rejected += arm.rejected;
-                    total.reanalyzed += arm.reanalyzed;
-                    total.skipped += arm.skipped;
-                    total.seconds += arm.seconds;
-                }
-                cell.disagreements += v.disagreements;
+                runs,
+                warm,
+                cold,
+                disagreements,
             }
-            cell
         })
         .collect();
 
-    AdmitOutcome { cells, verdicts }
+    AdmitOutcome {
+        cells,
+        verdicts: verdicts.into_iter().flatten().collect(),
+    }
+}
+
+/// Run count, summed arms and summed disagreements of `runs`.
+fn fold_runs<'a>(
+    runs: impl IntoIterator<Item = &'a AdmitVerdict>,
+) -> (usize, AdmitArm, AdmitArm, u64) {
+    let mut totals = (0, AdmitArm::default(), AdmitArm::default(), 0);
+    for v in runs {
+        totals.0 += 1;
+        for (total, arm) in [(&mut totals.1, &v.warm), (&mut totals.2, &v.cold)] {
+            total.ops += arm.ops;
+            total.admitted += arm.admitted;
+            total.rejected += arm.rejected;
+            total.reanalyzed += arm.reanalyzed;
+            total.skipped += arm.skipped;
+            total.seconds += arm.seconds;
+        }
+        totals.3 += v.disagreements;
+    }
+    totals
+}
+
+/// Warm-over-cold throughput ratio, `NaN` when the cold arm measured no
+/// time.
+fn speedup(warm: &AdmitArm, cold: &AdmitArm) -> f64 {
+    if cold.rate() > 0.0 {
+        warm.rate() / cold.rate()
+    } else {
+        f64::NAN
+    }
 }
 
 /// The mode's CSV/column tag.
@@ -394,74 +387,53 @@ fn mode_tag(mode: AdmissionMode) -> &'static str {
 
 /// Cell-level CSV: one row per `(N, U, mode)` coordinate.
 pub fn grid_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = String::from(
-        "n,u,mode,runs,ops,admitted,rejected,\
-         warm_decisions_per_sec,cold_decisions_per_sec,speedup,\
-         warm_reanalyzed,warm_skipped,cold_reanalyzed,disagreements\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{:.2},{},{},{},{},{},{:.0},{:.0},{:.2},{},{},{},{}\n",
-            c.n,
-            c.u,
-            mode_tag(c.mode),
-            c.runs,
-            c.warm.ops,
-            c.warm.admitted,
-            c.warm.rejected,
-            c.warm.rate(),
-            c.cold.rate(),
-            c.speedup(),
-            c.warm.reanalyzed,
-            c.warm.skipped,
-            c.cold.reanalyzed,
-            c.disagreements,
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("n", |c| c.n)
+        .col("u", |c| format!("{:.2}", c.u))
+        .col("mode", |c| mode_tag(c.mode))
+        .col("runs", |c| c.runs)
+        .col("ops", |c| c.warm.ops)
+        .col("admitted", |c| c.warm.admitted)
+        .col("rejected", |c| c.warm.rejected)
+        .col("warm_decisions_per_sec", |c| {
+            format!("{:.0}", c.warm.rate())
+        })
+        .col("cold_decisions_per_sec", |c| {
+            format!("{:.0}", c.cold.rate())
+        })
+        .col("speedup", |c| format!("{:.2}", c.speedup()))
+        .col("warm_reanalyzed", |c| c.warm.reanalyzed)
+        .col("warm_skipped", |c| c.warm.skipped)
+        .col("cold_reanalyzed", |c| c.cold.reanalyzed)
+        .col("disagreements", |c| c.disagreements)
+        .render()
 }
 
 /// Headline CSV: one row per mode plus the overall line the acceptance
 /// gate reads (`mode=all`).
 pub fn summary_csv(outcome: &AdmitOutcome) -> String {
-    let mut out = String::from(
-        "mode,runs,ops,warm_decisions_per_sec,cold_decisions_per_sec,\
-         speedup,disagreements\n",
-    );
-    let mut rows: Vec<(String, Vec<&AdmitVerdict>)> = Vec::new();
-    for mode in [AdmissionMode::PmFamily, AdmissionMode::DirectSync] {
-        let runs: Vec<&AdmitVerdict> = outcome.verdicts.iter().filter(|v| v.mode == mode).collect();
-        if !runs.is_empty() {
-            rows.push((mode_tag(mode).to_string(), runs));
-        }
-    }
-    rows.push(("all".to_string(), outcome.verdicts.iter().collect()));
-    for (tag, runs) in rows {
-        let mut warm = (0u64, 0.0f64);
-        let mut cold = (0u64, 0.0f64);
-        let mut disagreements = 0u64;
-        for v in &runs {
-            warm = (warm.0 + v.warm.ops, warm.1 + v.warm.seconds);
-            cold = (cold.0 + v.cold.ops, cold.1 + v.cold.seconds);
-            disagreements += v.disagreements;
-        }
-        let rate = |(ops, secs): (u64, f64)| if secs > 0.0 { ops as f64 / secs } else { 0.0 };
-        out.push_str(&format!(
-            "{},{},{},{:.0},{:.0},{:.2},{}\n",
-            tag,
-            runs.len(),
-            warm.0,
-            rate(warm),
-            rate(cold),
-            if rate(cold) > 0.0 {
-                rate(warm) / rate(cold)
-            } else {
-                f64::NAN
-            },
-            disagreements,
-        ));
-    }
-    out
+    let mut rows: Vec<_> = [AdmissionMode::PmFamily, AdmissionMode::DirectSync]
+        .into_iter()
+        .map(|mode| {
+            let runs = outcome.verdicts.iter().filter(|v| v.mode == mode);
+            (mode_tag(mode), fold_runs(runs))
+        })
+        .filter(|(_, totals)| totals.0 > 0)
+        .collect();
+    rows.push(("all", fold_runs(&outcome.verdicts)));
+    Csv::new(&rows)
+        .col("mode", |(tag, _)| *tag)
+        .col("runs", |(_, t)| t.0)
+        .col("ops", |(_, t)| t.1.ops)
+        .col("warm_decisions_per_sec", |(_, t)| {
+            format!("{:.0}", t.1.rate())
+        })
+        .col("cold_decisions_per_sec", |(_, t)| {
+            format!("{:.0}", t.2.rate())
+        })
+        .col("speedup", |(_, t)| format!("{:.2}", speedup(&t.1, &t.2)))
+        .col("disagreements", |(_, t)| t.3)
+        .render()
 }
 
 /// ASCII rendering of the grid.

@@ -30,18 +30,13 @@
 //! parallel over runs and bit-for-bit deterministic for a given seed
 //! regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{fmt_f64, mean, mean_inflation, run_grid, Csv, Job};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
-use rtsync_sim::nonideal::{
-    eer_inflation, ChannelModel, ClockModel, LinkAsymmetry, NonidealConfig,
-};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, LinkAsymmetry, NonidealConfig};
 use rtsync_sim::{
     DetectorConfig, FaultConfig, InvariantKind, InvariantObserver, InvariantViolation,
     PartitionSchedule, PartitionWindow, Persona, SyncConfig, TransportConfig,
@@ -115,28 +110,26 @@ impl Default for AdversaryConfig {
 
 impl AdversaryConfig {
     /// A reduced campaign for CI smoke jobs and tests: the same three
-    /// axes with fewer levels and runs.
-    pub fn smoke(total_runs: usize) -> AdversaryConfig {
-        let cfg = AdversaryConfig {
+    /// axes with fewer levels and runs (24 runs over the 12 cells).
+    pub fn smoke() -> AdversaryConfig {
+        AdversaryConfig {
             liar_counts: vec![0, 1, 3],
             partition_spans: vec![0, 300_000],
             asym_biases: vec![0, 2_000],
+            runs_per_cell: 2,
             instances_per_task: 6,
             ..AdversaryConfig::default()
-        };
-        let cells = cfg.liar_counts.len() * cfg.partition_spans.len() * cfg.asym_biases.len();
-        AdversaryConfig {
-            runs_per_cell: total_runs.div_ceil(cells).max(1),
-            ..cfg
         }
+    }
+
+    /// Grid cells: liar counts × partition spans × asymmetry biases.
+    pub fn cells(&self) -> usize {
+        self.liar_counts.len() * self.partition_spans.len() * self.asym_biases.len()
     }
 
     /// Total runs in the campaign.
     pub fn total_runs(&self) -> usize {
-        self.liar_counts.len()
-            * self.partition_spans.len()
-            * self.asym_biases.len()
-            * self.runs_per_cell
+        self.cells() * self.runs_per_cell
     }
 }
 
@@ -364,13 +357,8 @@ fn transport(cfg: &AdversaryConfig, seed: u64) -> TransportConfig {
 }
 
 /// Evaluates one run of one cell.
-fn evaluate_run(
-    cfg: &AdversaryConfig,
-    cell: CellSpec,
-    run_index: usize,
-    system_seed: u64,
-    cond_seed: u64,
-) -> AdversaryVerdict {
+fn evaluate_run(cfg: &AdversaryConfig, cell: CellSpec, job: Job) -> AdversaryVerdict {
+    let (run_index, system_seed, cond_seed) = (job.run, job.system_seed, job.cond_seed);
     let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
     let set = generate(&spec, &mut StdRng::seed_from_u64(system_seed))
         .expect("paper spec always generates");
@@ -424,16 +412,6 @@ fn evaluate_run(
         simulate_observed(&set, &sim, &mut obs).expect("paper systems are analyzable under SA/PM");
     obs.check_outcome(&out);
 
-    let mut inflation_sum = 0.0;
-    let mut inflation_count = 0u64;
-    for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-        .into_iter()
-        .flatten()
-    {
-        inflation_sum += ratio;
-        inflation_count += 1;
-    }
-
     AdversaryVerdict {
         protocol,
         liars: cell.liars,
@@ -459,11 +437,7 @@ fn evaluate_run(
         severed_heartbeats: out.fault_stats.severed_heartbeats,
         partition_false_suspects: out.detect_stats.partition_false_suspects,
         partition_false_deads: out.detect_stats.partition_false_deads,
-        mean_inflation: if inflation_count == 0 {
-            f64::NAN
-        } else {
-            inflation_sum / inflation_count as f64
-        },
+        mean_inflation: mean_inflation(&baseline, &out),
         stalled: !out.reached_target,
         violations: obs.violations().to_vec(),
     }
@@ -488,161 +462,115 @@ pub fn run_adversary(cfg: &AdversaryConfig) -> AdversaryOutcome {
             })
         })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<AdversaryVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let cond_seed = job_seed(cfg.seed, c + 1, r);
-                let verdict = evaluate_run(cfg, cells[c], r, system_seed, cond_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
-    });
-    let verdicts: Vec<AdversaryVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
+    let verdicts = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.runs_per_cell,
+        cfg.threads,
+        |&cell, job| evaluate_run(cfg, cell, job),
+    );
 
     let cells = cells
         .iter()
-        .enumerate()
-        .map(|(c, spec)| {
-            let runs = &verdicts[c * cfg.runs_per_cell..(c + 1) * cfg.runs_per_cell];
-            let mut cell = AdversaryCell {
+        .zip(&verdicts)
+        .map(|(spec, runs)| {
+            let total = |f: fn(&AdversaryVerdict) -> u64| runs.iter().map(f).sum::<u64>();
+            AdversaryCell {
                 liars: spec.liars,
                 liar_fraction: spec.liars as f64 / 4.0,
                 partition_span: spec.partition_span,
                 asym_bias: spec.asym_bias,
                 honesty_armed: runs.first().is_some_and(|v| v.honesty_armed),
                 runs: runs.len(),
-                bracket_samples: 0,
-                bracket_misses: 0,
-                corrupted_samples: 0,
-                sync_frames_dead: 0,
-                sync_retransmits: 0,
-                severed_signals: 0,
-                partition_replayed: 0,
-                partition_false_verdicts: 0,
-                max_true_error: 0,
-                mean_inflation: f64::NAN,
-                stalls: 0,
-                invariant_violations: 0,
-            };
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
-            for v in runs {
-                cell.bracket_samples += v.bracket_samples;
-                cell.bracket_misses += v.bracket_misses;
-                cell.corrupted_samples += v.corrupted_samples;
-                cell.sync_frames_dead += v.sync_frames_lost + v.sync_frames_severed;
-                cell.sync_retransmits += v.sync_retransmits;
-                cell.severed_signals += v.severed_signals;
-                cell.partition_replayed += v.partition_replayed;
-                cell.partition_false_verdicts +=
-                    v.partition_false_suspects + v.partition_false_deads;
-                cell.max_true_error = cell.max_true_error.max(v.max_true_error);
-                cell.stalls += usize::from(v.stalled);
-                cell.invariant_violations += v.violations.len();
-                if v.mean_inflation.is_finite() {
-                    infl_sum += v.mean_inflation;
-                    infl_n += 1;
-                }
+                bracket_samples: total(|v| v.bracket_samples),
+                bracket_misses: total(|v| v.bracket_misses),
+                corrupted_samples: total(|v| v.corrupted_samples),
+                sync_frames_dead: total(|v| v.sync_frames_lost + v.sync_frames_severed),
+                sync_retransmits: total(|v| v.sync_retransmits),
+                severed_signals: total(|v| v.severed_signals),
+                partition_replayed: total(|v| v.partition_replayed),
+                partition_false_verdicts: total(|v| {
+                    v.partition_false_suspects + v.partition_false_deads
+                }),
+                max_true_error: runs.iter().map(|v| v.max_true_error).fold(0, i64::max),
+                mean_inflation: mean(
+                    runs.iter()
+                        .map(|v| v.mean_inflation)
+                        .filter(|i| i.is_finite()),
+                ),
+                stalls: runs.iter().filter(|v| v.stalled).count(),
+                invariant_violations: runs.iter().map(|v| v.violations.len()).sum(),
             }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
-            cell
         })
         .collect();
 
-    AdversaryOutcome { cells, verdicts }
+    AdversaryOutcome {
+        cells,
+        verdicts: verdicts.into_iter().flatten().collect(),
+    }
 }
 
 /// Cell-level CSV: one row per grid coordinate.
 pub fn grid_csv(outcome: &AdversaryOutcome) -> String {
-    let mut out = String::from(
-        "liars,liar_fraction,partition_span,asym_bias,honesty_armed,runs,\
-         bracket_samples,bracket_misses,bracket_miss_rate,corrupted_samples,\
-         sync_frames_dead,sync_retransmits,severed_signals,partition_replayed,\
-         partition_false_verdicts,max_true_error,mean_inflation,stalls,\
-         invariant_violations\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.liars,
-            c.liar_fraction,
-            c.partition_span,
-            c.asym_bias,
-            u8::from(c.honesty_armed),
-            c.runs,
-            c.bracket_samples,
-            c.bracket_misses,
-            fmt_f64(c.miss_rate()),
-            c.corrupted_samples,
-            c.sync_frames_dead,
-            c.sync_retransmits,
-            c.severed_signals,
-            c.partition_replayed,
-            c.partition_false_verdicts,
-            c.max_true_error,
-            fmt_f64(c.mean_inflation),
-            c.stalls,
-            c.invariant_violations,
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("liars", |c| c.liars)
+        .col("liar_fraction", |c| c.liar_fraction)
+        .col("partition_span", |c| c.partition_span)
+        .col("asym_bias", |c| c.asym_bias)
+        .col("honesty_armed", |c| u8::from(c.honesty_armed))
+        .col("runs", |c| c.runs)
+        .col("bracket_samples", |c| c.bracket_samples)
+        .col("bracket_misses", |c| c.bracket_misses)
+        .float("bracket_miss_rate", |c| c.miss_rate())
+        .col("corrupted_samples", |c| c.corrupted_samples)
+        .col("sync_frames_dead", |c| c.sync_frames_dead)
+        .col("sync_retransmits", |c| c.sync_retransmits)
+        .col("severed_signals", |c| c.severed_signals)
+        .col("partition_replayed", |c| c.partition_replayed)
+        .col("partition_false_verdicts", |c| c.partition_false_verdicts)
+        .col("max_true_error", |c| c.max_true_error)
+        .float("mean_inflation", |c| c.mean_inflation)
+        .col("stalls", |c| c.stalls)
+        .col("invariant_violations", |c| c.invariant_violations)
+        .render()
 }
 
 /// Summary CSV: one row per liar fraction, aggregated over the partition
 /// and asymmetry axes — the honesty cliff in four lines.
 pub fn summary_csv(outcome: &AdversaryOutcome) -> String {
-    let mut out = String::from(
-        "liars,liar_fraction,honesty_armed,cells,runs,bracket_samples,\
-         bracket_misses,bracket_miss_rate,corrupted_samples,max_true_error,\
-         invariant_violations\n",
-    );
     let mut levels: Vec<usize> = outcome.cells.iter().map(|c| c.liars).collect();
     levels.dedup();
-    for liars in levels {
-        let group: Vec<&AdversaryCell> =
-            outcome.cells.iter().filter(|c| c.liars == liars).collect();
-        let samples: u64 = group.iter().map(|c| c.bracket_samples).sum();
-        let misses: u64 = group.iter().map(|c| c.bracket_misses).sum();
-        let rate = if samples == 0 {
-            f64::NAN
-        } else {
-            misses as f64 / samples as f64
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{}\n",
-            liars,
-            liars as f64 / 4.0,
-            u8::from(group.iter().all(|c| c.honesty_armed)),
-            group.len(),
-            group.iter().map(|c| c.runs).sum::<usize>(),
-            samples,
-            misses,
-            fmt_f64(rate),
-            group.iter().map(|c| c.corrupted_samples).sum::<u64>(),
-            group.iter().map(|c| c.max_true_error).max().unwrap_or(0),
-            group.iter().map(|c| c.invariant_violations).sum::<usize>(),
-        ));
-    }
-    out
+    let groups: Vec<Vec<&AdversaryCell>> = levels
+        .iter()
+        .map(|&liars| outcome.cells.iter().filter(|c| c.liars == liars).collect())
+        .collect();
+    let sum = |g: &Vec<&AdversaryCell>, f: fn(&AdversaryCell) -> u64| {
+        g.iter().map(|&c| f(c)).sum::<u64>()
+    };
+    Csv::new(&groups)
+        .col("liars", |g| g[0].liars)
+        .col("liar_fraction", |g| g[0].liar_fraction)
+        .col("honesty_armed", |g| {
+            u8::from(g.iter().all(|c| c.honesty_armed))
+        })
+        .col("cells", |g| g.len())
+        .col("runs", |g| sum(g, |c| c.runs as u64))
+        .col("bracket_samples", |g| sum(g, |c| c.bracket_samples))
+        .col("bracket_misses", |g| sum(g, |c| c.bracket_misses))
+        .float("bracket_miss_rate", |g| {
+            match sum(g, |c| c.bracket_samples) {
+                0 => f64::NAN,
+                samples => sum(g, |c| c.bracket_misses) as f64 / samples as f64,
+            }
+        })
+        .col("corrupted_samples", |g| sum(g, |c| c.corrupted_samples))
+        .col("max_true_error", |g| {
+            g.iter().map(|c| c.max_true_error).max().unwrap_or(0)
+        })
+        .col("invariant_violations", |g| {
+            sum(g, |c| c.invariant_violations as u64)
+        })
+        .render()
 }
 
 /// ASCII rendering of the campaign for the terminal.
@@ -695,14 +623,6 @@ pub fn render(outcome: &AdversaryOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]
@@ -781,8 +701,8 @@ mod tests {
 
     #[test]
     fn smoke_config_covers_the_grid() {
-        let cfg = AdversaryConfig::smoke(12);
-        assert!(cfg.total_runs() >= 12);
+        let cfg = AdversaryConfig::smoke();
+        assert!(cfg.total_runs() >= 24);
         assert!(cfg.liar_counts.contains(&0) && cfg.liar_counts.iter().any(|&l| 2 * l >= 4));
         assert!(cfg.partition_spans.iter().any(|&s| s > 0));
         assert!(cfg.asym_biases.iter().any(|&b| b > 0));

@@ -35,6 +35,9 @@ struct Options {
     run_sync: bool,
     obs: bool,
     cfg: StudyConfig,
+    /// `--seed`, when given: studies with their own default seed keep it
+    /// otherwise.
+    seed: Option<u64>,
     out_dir: Option<PathBuf>,
 }
 
@@ -53,6 +56,7 @@ fn parse_args() -> Result<Options, String> {
     let mut run_sync = false;
     let mut obs = false;
     let mut cfg = StudyConfig::default();
+    let mut seed = None;
     let mut out_dir = None;
     let mut saw_selector = false;
 
@@ -157,6 +161,7 @@ fn parse_args() -> Result<Options, String> {
                 cfg.seed = grab("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
+                seed = Some(cfg.seed);
             }
             "--threads" => {
                 cfg.threads = grab("--threads")?
@@ -187,6 +192,7 @@ fn parse_args() -> Result<Options, String> {
         run_sync,
         obs,
         cfg,
+        seed,
         out_dir,
     })
 }
@@ -260,6 +266,7 @@ fn write_csv(out_dir: &Option<PathBuf>, name: &str, content: &str) -> Result<(),
 }
 
 fn main() -> ExitCode {
+    rtsync_experiments::exit_quietly_on_broken_pipe();
     let opts = match parse_args() {
         Ok(o) => o,
         Err(msg) => {
@@ -503,12 +510,13 @@ fn main() -> ExitCode {
     if opts.run_sync {
         use rtsync_experiments::sync::{self, SyncStudyConfig};
         println!("running the clock-synchronization study (drift × latency × sync-period)…");
+        let defaults = SyncStudyConfig::default();
         let scfg = SyncStudyConfig {
             systems_per_config: opts.cfg.systems_per_config.min(10),
-            seed: opts.cfg.seed,
+            seed: opts.seed.unwrap_or(defaults.seed),
             threads: opts.cfg.threads,
             analysis: opts.cfg.analysis,
-            ..SyncStudyConfig::default()
+            ..defaults
         };
         println!(
             "  {} drift values x {} latency values x {} periods x {} systems \

@@ -27,17 +27,16 @@
 //! embarrassingly parallel over runs and bit-for-bit deterministic for a
 //! given seed regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{
+    fmt_f64, mean, mean_inflation, miss_or_loss_ratio, missed_and_measured, run_grid, Csv, Job,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::{Dur, Time};
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{
     CrashWindow, DetectorConfig, EventLogObserver, FaultConfig, InvariantObserver,
     InvariantViolation, OverloadPolicy, Tee, TelemetryObserver, TelemetryReport, TransportConfig,
@@ -98,20 +97,23 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     /// A reduced campaign for CI smoke jobs and tests: fewer, shorter
-    /// runs with the same grid shape.
-    pub fn smoke(total_runs: usize) -> ChaosConfig {
-        let cfg = ChaosConfig::default();
-        let cells = cfg.protocols.len() * cfg.mean_uptimes.len();
+    /// runs with the same grid shape (25 runs over the 12 cells).
+    pub fn smoke() -> ChaosConfig {
         ChaosConfig {
-            runs_per_cell: total_runs.div_ceil(cells).max(1),
+            runs_per_cell: 3,
             instances_per_task: 6,
-            ..cfg
+            ..ChaosConfig::default()
         }
+    }
+
+    /// Grid cells: protocols × crash rates.
+    pub fn cells(&self) -> usize {
+        self.protocols.len() * self.mean_uptimes.len()
     }
 
     /// Total runs in the campaign.
     pub fn total_runs(&self) -> usize {
-        self.protocols.len() * self.mean_uptimes.len() * self.runs_per_cell
+        self.cells() * self.runs_per_cell
     }
 }
 
@@ -165,12 +167,7 @@ impl RunVerdict {
 
     /// `(missed + lost) / (measured + lost)`, `NaN` with no instances.
     pub fn miss_or_loss_ratio(&self) -> f64 {
-        let denom = self.measured + self.lost;
-        if denom == 0 {
-            f64::NAN
-        } else {
-            (self.missed + self.lost) as f64 / denom as f64
-        }
+        miss_or_loss_ratio(self.missed, self.lost, self.measured)
     }
 }
 
@@ -299,15 +296,13 @@ fn downtime_before(windows: &[Vec<CrashWindow>], end: Time) -> i64 {
         .sum()
 }
 
-/// Evaluates one run of one cell.
+/// Evaluates one run of one `(protocol, mean uptime)` cell.
 fn evaluate_run(
     cfg: &ChaosConfig,
-    protocol: Protocol,
-    mean_uptime: i64,
-    run_index: usize,
-    system_seed: u64,
-    fault_seed: u64,
+    (protocol, mean_uptime): (Protocol, i64),
+    job: Job,
 ) -> (RunVerdict, Option<ChaosFailure>) {
+    let (run_index, system_seed, fault_seed) = (job.run, job.system_seed, job.cond_seed);
     let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
     let set = generate(&spec, &mut StdRng::seed_from_u64(system_seed))
         .expect("paper spec always generates");
@@ -323,21 +318,7 @@ fn evaluate_run(
 
     let baseline = simulate(&set, &sim).expect("chaos systems are analyzable under SA/PM");
     let (out, violations) = checked_run(&set, &sim, faults.clone());
-
-    let mut inflation_sum = 0.0;
-    let mut inflation_count = 0u64;
-    for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-        .into_iter()
-        .flatten()
-    {
-        inflation_sum += ratio;
-        inflation_count += 1;
-    }
-    let (mut missed, mut measured) = (0, 0);
-    for t in out.metrics.tasks() {
-        missed += t.deadline_misses();
-        measured += t.measured();
-    }
+    let (missed, measured) = missed_and_measured(&out);
     let resolved = faults.resolve(set.num_processors(), out.end_time);
     let verdict = RunVerdict {
         protocol,
@@ -353,11 +334,7 @@ fn evaluate_run(
         lost: out.metrics.total_lost(),
         missed,
         measured,
-        mean_inflation: if inflation_count == 0 {
-            f64::NAN
-        } else {
-            inflation_sum / inflation_count as f64
-        },
+        mean_inflation: mean_inflation(&baseline, &out),
         downtime_ticks: downtime_before(&resolved, out.end_time),
         span_ticks: out.end_time.since_origin().ticks() * set.num_processors() as i64,
         stalled: !out.reached_target,
@@ -439,98 +416,55 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         .iter()
         .flat_map(|&p| cfg.mean_uptimes.iter().map(move |&u| (p, u)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    type JobResult = (RunVerdict, Option<ChaosFailure>);
-    let results: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let (protocol, uptime) = cells[c];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let fault_seed = job_seed(cfg.seed, c + 1, r);
-                let result = evaluate_run(cfg, protocol, uptime, r, system_seed, fault_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(result);
-            });
-        }
-    });
-    let results: Vec<JobResult> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
-
-    let mut verdicts = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (verdict, failure) in results {
-        verdicts.push(verdict);
-        failures.extend(failure);
-    }
+    let results = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.runs_per_cell,
+        cfg.threads,
+        |&cell, job| evaluate_run(cfg, cell, job),
+    );
 
     let cells = cells
         .iter()
-        .enumerate()
-        .map(|(c, &(protocol, mean_uptime))| {
-            let runs = &verdicts[c * cfg.runs_per_cell..(c + 1) * cfg.runs_per_cell];
-            let mut cell = ChaosCell {
+        .zip(&results)
+        .map(|(&(protocol, mean_uptime), runs)| {
+            let total = |f: fn(&RunVerdict) -> u64| runs.iter().map(|(v, _)| f(v)).sum::<u64>();
+            let ticks = |f: fn(&RunVerdict) -> i64| runs.iter().map(|(v, _)| f(v)).sum::<i64>();
+            let (down, span) = (ticks(|v| v.downtime_ticks), ticks(|v| v.span_ticks));
+            ChaosCell {
                 protocol,
                 mean_uptime,
                 runs: runs.len(),
-                crashes: 0,
-                killed_jobs: 0,
-                lost: 0,
-                miss_or_loss_ratio: f64::NAN,
-                mean_inflation: f64::NAN,
-                availability: f64::NAN,
-                stalls: 0,
-                invariant_violations: 0,
-            };
-            let (mut missed, mut measured) = (0u64, 0u64);
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
-            let (mut down, mut span) = (0i64, 0i64);
-            for v in runs {
-                cell.crashes += v.crashes;
-                cell.killed_jobs += v.killed_jobs;
-                cell.lost += v.lost;
-                cell.stalls += usize::from(v.stalled);
-                cell.invariant_violations += v.violations.len();
-                missed += v.missed;
-                measured += v.measured;
-                if v.mean_inflation.is_finite() {
-                    infl_sum += v.mean_inflation;
-                    infl_n += 1;
-                }
-                down += v.downtime_ticks;
-                span += v.span_ticks;
+                crashes: total(|v| v.crashes),
+                killed_jobs: total(|v| v.killed_jobs),
+                lost: total(|v| v.lost),
+                miss_or_loss_ratio: miss_or_loss_ratio(
+                    total(|v| v.missed),
+                    total(|v| v.lost),
+                    total(|v| v.measured),
+                ),
+                mean_inflation: mean(
+                    runs.iter()
+                        .map(|(v, _)| v.mean_inflation)
+                        .filter(|i| i.is_finite()),
+                ),
+                availability: if span > 0 {
+                    1.0 - down as f64 / span as f64
+                } else {
+                    f64::NAN
+                },
+                stalls: runs.iter().filter(|(v, _)| v.stalled).count(),
+                invariant_violations: runs.iter().map(|(v, _)| v.violations.len()).sum(),
             }
-            if measured + cell.lost > 0 {
-                cell.miss_or_loss_ratio =
-                    (missed + cell.lost) as f64 / (measured + cell.lost) as f64;
-            }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
-            if span > 0 {
-                cell.availability = 1.0 - down as f64 / span as f64;
-            }
-            cell
         })
         .collect();
 
+    let (verdicts, failures): (Vec<RunVerdict>, Vec<Option<ChaosFailure>>) =
+        results.into_iter().flatten().unzip();
     ChaosOutcome {
         cells,
         verdicts,
-        failures,
+        failures: failures.into_iter().flatten().collect(),
     }
 }
 
@@ -657,61 +591,44 @@ pub fn repro_bundle(cfg: &ChaosConfig, failure: &ChaosFailure) -> ReproBundle {
 /// Cell-level CSV: the per-protocol degradation curves (one row per
 /// `(protocol, mean uptime)` cell).
 pub fn to_csv(outcome: &ChaosOutcome) -> String {
-    let mut out = String::from(
-        "protocol,mean_uptime,runs,crashes,killed_jobs,lost,\
-         miss_or_loss_ratio,mean_inflation,availability,stalls,invariant_violations\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.protocol.tag(),
-            c.mean_uptime,
-            c.runs,
-            c.crashes,
-            c.killed_jobs,
-            c.lost,
-            fmt_f64(c.miss_or_loss_ratio),
-            fmt_f64(c.mean_inflation),
-            fmt_f64(c.availability),
-            c.stalls,
-            c.invariant_violations,
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("protocol", |c| c.protocol.tag())
+        .col("mean_uptime", |c| c.mean_uptime)
+        .col("runs", |c| c.runs)
+        .col("crashes", |c| c.crashes)
+        .col("killed_jobs", |c| c.killed_jobs)
+        .col("lost", |c| c.lost)
+        .float("miss_or_loss_ratio", |c| c.miss_or_loss_ratio)
+        .float("mean_inflation", |c| c.mean_inflation)
+        .float("availability", |c| c.availability)
+        .col("stalls", |c| c.stalls)
+        .col("invariant_violations", |c| c.invariant_violations)
+        .render()
 }
 
 /// Run-level CSV: one row per run, in deterministic (cell, run) order.
 pub fn runs_csv(outcome: &ChaosOutcome) -> String {
-    let mut out = String::from(
-        "protocol,mean_uptime,policy,run_index,system_seed,fault_seed,channel,\
-         crashes,recoveries,killed_jobs,lost,missed,measured,miss_or_loss_ratio,\
-         mean_inflation,downtime_ticks,span_ticks,stalled,violations\n",
-    );
-    for v in &outcome.verdicts {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            v.protocol.tag(),
-            v.mean_uptime,
-            v.policy.tag(),
-            v.run_index,
-            v.system_seed,
-            v.fault_seed,
-            u8::from(v.with_channel),
-            v.crashes,
-            v.recoveries,
-            v.killed_jobs,
-            v.lost,
-            v.missed,
-            v.measured,
-            fmt_f64(v.miss_or_loss_ratio()),
-            fmt_f64(v.mean_inflation),
-            v.downtime_ticks,
-            v.span_ticks,
-            u8::from(v.stalled),
-            v.violations.len(),
-        ));
-    }
-    out
+    Csv::new(&outcome.verdicts)
+        .col("protocol", |v| v.protocol.tag())
+        .col("mean_uptime", |v| v.mean_uptime)
+        .col("policy", |v| v.policy.tag())
+        .col("run_index", |v| v.run_index)
+        .col("system_seed", |v| v.system_seed)
+        .col("fault_seed", |v| v.fault_seed)
+        .col("channel", |v| u8::from(v.with_channel))
+        .col("crashes", |v| v.crashes)
+        .col("recoveries", |v| v.recoveries)
+        .col("killed_jobs", |v| v.killed_jobs)
+        .col("lost", |v| v.lost)
+        .col("missed", |v| v.missed)
+        .col("measured", |v| v.measured)
+        .float("miss_or_loss_ratio", |v| v.miss_or_loss_ratio())
+        .float("mean_inflation", |v| v.mean_inflation)
+        .col("downtime_ticks", |v| v.downtime_ticks)
+        .col("span_ticks", |v| v.span_ticks)
+        .col("stalled", |v| u8::from(v.stalled))
+        .col("violations", |v| v.violations.len())
+        .render()
 }
 
 /// ASCII rendering of the campaign for the terminal.
@@ -746,14 +663,6 @@ pub fn render(outcome: &ChaosOutcome) -> String {
         outcome.failures.len()
     ));
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]
@@ -813,7 +722,7 @@ mod tests {
 
     #[test]
     fn smoke_config_covers_the_grid() {
-        let cfg = ChaosConfig::smoke(25);
+        let cfg = ChaosConfig::smoke();
         assert!(cfg.total_runs() >= 25);
         assert_eq!(cfg.protocols.len(), 4);
         assert!(cfg.mean_uptimes.len() >= 3);

@@ -17,6 +17,7 @@ use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig};
 use rtsync_workload::{generate, WorkloadSpec};
 
+use crate::campaign::Csv;
 use crate::study::StudyConfig;
 
 /// Ratio estimates at one instance target.
@@ -157,23 +158,16 @@ pub fn analysis_convergence_study(
 
 /// Renders analysis-convergence rows as CSV (`convergence_obs.csv`).
 pub fn analysis_convergence_csv(rows: &[AnalysisConvergenceRow]) -> String {
-    let mut out = String::from(
-        "n,u,system,pm_converged,pm_iterations,ds_converged,ds_sweeps,ds_peak_delta\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.2},{},{},{},{},{},{}\n",
-            r.n,
-            r.u,
-            r.system,
-            r.pm_converged,
-            r.pm_iterations,
-            r.ds_converged,
-            r.ds_sweeps,
-            r.ds_peak_delta.ticks()
-        ));
-    }
-    out
+    Csv::new(rows)
+        .col("n", |r| r.n)
+        .col("u", |r| format!("{:.2}", r.u))
+        .col("system", |r| r.system)
+        .col("pm_converged", |r| r.pm_converged)
+        .col("pm_iterations", |r| r.pm_iterations)
+        .col("ds_converged", |r| r.ds_converged)
+        .col("ds_sweeps", |r| r.ds_sweeps)
+        .col("ds_peak_delta", |r| r.ds_peak_delta.ticks())
+        .render()
 }
 
 /// Renders a short text summary of analysis-convergence rows.

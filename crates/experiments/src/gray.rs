@@ -34,16 +34,13 @@
 //! the campaign is embarrassingly parallel over runs and bit-for-bit
 //! deterministic for a given seed regardless of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{mean, mean_inflation, run_grid, Csv, Job};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, simulate_observed, SimConfig};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{
     DetectorConfig, FaultConfig, GrayConfig, InvariantKind, InvariantObserver, InvariantViolation,
     LinkSchedule, PhiConfig, SlowSchedule, StallSchedule, TransportConfig,
@@ -129,29 +126,27 @@ impl Default for GrayStudyConfig {
 
 impl GrayStudyConfig {
     /// A reduced campaign for CI smoke jobs and tests: the same three
-    /// axes with fewer levels and runs.
-    pub fn smoke(total_runs: usize) -> GrayStudyConfig {
-        let cfg = GrayStudyConfig {
+    /// axes with fewer levels and runs (16 runs over the 8 cells).
+    pub fn smoke() -> GrayStudyConfig {
+        GrayStudyConfig {
             slow_factors: vec![1, 8],
             stall_spans: vec![0, 400_000],
             link_drops: vec![0, 500],
+            runs_per_cell: 2,
             instances_per_task: 6,
             ..GrayStudyConfig::default()
-        };
-        let cells = cfg.slow_factors.len() * cfg.stall_spans.len() * cfg.link_drops.len();
-        GrayStudyConfig {
-            runs_per_cell: total_runs.div_ceil(cells).max(1),
-            ..cfg
         }
+    }
+
+    /// Grid cells: slow factors × stall spans × link drops.
+    pub fn cells(&self) -> usize {
+        self.slow_factors.len() * self.stall_spans.len() * self.link_drops.len()
     }
 
     /// Total runs in the campaign (each run simulates both detector arms
     /// plus one benign baseline).
     pub fn total_runs(&self) -> usize {
-        self.slow_factors.len()
-            * self.stall_spans.len()
-            * self.link_drops.len()
-            * self.runs_per_cell
+        self.cells() * self.runs_per_cell
     }
 }
 
@@ -310,18 +305,6 @@ pub struct GrayCell {
     pub invariant_violations: usize,
 }
 
-impl GrayCell {
-    /// Fixed-arm false deads per run.
-    pub fn fixed_false_dead_rate(&self) -> f64 {
-        self.fixed_false_deads as f64 / self.runs.max(1) as f64
-    }
-
-    /// Adaptive-arm false deads per run.
-    pub fn adaptive_false_dead_rate(&self) -> f64 {
-        self.adaptive_false_deads as f64 / self.runs.max(1) as f64
-    }
-}
-
 /// The whole campaign's outcome.
 #[derive(Clone, Debug)]
 pub struct GrayOutcome {
@@ -401,13 +384,8 @@ fn transport(cfg: &GrayStudyConfig, cond_seed: u64, phi: bool) -> TransportConfi
 
 /// Evaluates one run of one cell: a benign baseline plus both detector
 /// arms over the same seeded gray schedule.
-fn evaluate_run(
-    cfg: &GrayStudyConfig,
-    cell: CellSpec,
-    run_index: usize,
-    system_seed: u64,
-    cond_seed: u64,
-) -> GrayVerdict {
+fn evaluate_run(cfg: &GrayStudyConfig, cell: CellSpec, job: Job) -> GrayVerdict {
+    let (run_index, system_seed, cond_seed) = (job.run, job.system_seed, job.cond_seed);
     let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
     let set = generate(&spec, &mut StdRng::seed_from_u64(system_seed))
         .expect("paper spec always generates");
@@ -434,15 +412,6 @@ fn evaluate_run(
         let out = simulate_observed(&set, &sim, &mut obs)
             .expect("paper systems are analyzable under SA/PM");
         obs.check_outcome(&out);
-        let mut inflation_sum = 0.0;
-        let mut inflation_count = 0u64;
-        for ratio in eer_inflation(&baseline.metrics, &out.metrics)
-            .into_iter()
-            .flatten()
-        {
-            inflation_sum += ratio;
-            inflation_count += 1;
-        }
         let dt = &out.detect_stats;
         let stats = ArmStats {
             suspects: dt.suspects,
@@ -456,11 +425,7 @@ fn evaluate_run(
             revivals: dt.revivals,
             forced_releases: dt.forced_releases,
             watchdog_trips: dt.watchdog_trips,
-            mean_inflation: if inflation_count == 0 {
-                f64::NAN
-            } else {
-                inflation_sum / inflation_count as f64
-            },
+            mean_inflation: mean_inflation(&baseline, &out),
             stalled: !out.reached_target,
         };
         (stats, out, obs.violations().to_vec())
@@ -508,200 +473,137 @@ pub fn run_gray(cfg: &GrayStudyConfig) -> GrayOutcome {
             })
         })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-
-    let results: Mutex<Vec<Option<GrayVerdict>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let system_seed = job_seed(cfg.seed, 0, r);
-                let cond_seed = job_seed(cfg.seed, c + 1, r);
-                let verdict = evaluate_run(cfg, cells[c], r, system_seed, cond_seed);
-                results.lock().expect("no panics while holding the lock")[j] = Some(verdict);
-            });
-        }
-    });
-    let verdicts: Vec<GrayVerdict> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every run was evaluated"))
-        .collect();
+    let verdicts = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.runs_per_cell,
+        cfg.threads,
+        |&cell, job| evaluate_run(cfg, cell, job),
+    );
 
     let cells = cells
         .iter()
-        .enumerate()
-        .map(|(c, spec)| {
-            let runs = &verdicts[c * cfg.runs_per_cell..(c + 1) * cfg.runs_per_cell];
-            let mut cell = GrayCell {
+        .zip(&verdicts)
+        .map(|(spec, runs)| {
+            let total = |f: fn(&GrayVerdict) -> u64| runs.iter().map(f).sum::<u64>();
+            let inflation =
+                |f: fn(&GrayVerdict) -> f64| mean(runs.iter().map(f).filter(|i| i.is_finite()));
+            GrayCell {
                 slow_factor: spec.slow_factor,
                 stall_span: spec.stall_span,
                 link_drop: spec.link_drop,
                 slowdown_only: spec.slowdown_only(),
                 runs: runs.len(),
-                fixed_false_deads: 0,
-                fixed_false_dead_gray: 0,
-                fixed_false_suspects: 0,
-                fixed_forced_releases: 0,
-                fixed_watchdog_trips: 0,
-                adaptive_false_deads: 0,
-                adaptive_false_dead_gray: 0,
-                adaptive_false_suspects: 0,
-                adaptive_degradeds: 0,
-                adaptive_gray_hits: 0,
-                adaptive_forced_releases: 0,
-                adaptive_watchdog_trips: 0,
-                slowdowns: 0,
-                stalls: 0,
-                link_degrades: 0,
-                fixed_inflation: f64::NAN,
-                adaptive_inflation: f64::NAN,
-                stalled_runs: 0,
-                invariant_violations: 0,
-            };
-            let (mut fx_sum, mut fx_n, mut ad_sum, mut ad_n) = (0.0, 0u64, 0.0, 0u64);
-            for v in runs {
-                cell.fixed_false_deads += v.fixed.false_deads;
-                cell.fixed_false_dead_gray += v.fixed.false_dead_gray;
-                cell.fixed_false_suspects += v.fixed.false_suspects;
-                cell.fixed_forced_releases += v.fixed.forced_releases;
-                cell.fixed_watchdog_trips += v.fixed.watchdog_trips;
-                cell.adaptive_false_deads += v.adaptive.false_deads;
-                cell.adaptive_false_dead_gray += v.adaptive.false_dead_gray;
-                cell.adaptive_false_suspects += v.adaptive.false_suspects;
-                cell.adaptive_degradeds += v.adaptive.degradeds;
-                cell.adaptive_gray_hits += v.adaptive.gray_hits;
-                cell.adaptive_forced_releases += v.adaptive.forced_releases;
-                cell.adaptive_watchdog_trips += v.adaptive.watchdog_trips;
-                cell.slowdowns += v.slowdowns;
-                cell.stalls += v.stalls;
-                cell.link_degrades += v.link_degrades;
-                cell.stalled_runs += usize::from(v.fixed.stalled || v.adaptive.stalled);
-                cell.invariant_violations += v.fixed_violations.len() + v.adaptive_violations.len();
-                if v.fixed.mean_inflation.is_finite() {
-                    fx_sum += v.fixed.mean_inflation;
-                    fx_n += 1;
-                }
-                if v.adaptive.mean_inflation.is_finite() {
-                    ad_sum += v.adaptive.mean_inflation;
-                    ad_n += 1;
-                }
+                fixed_false_deads: total(|v| v.fixed.false_deads),
+                fixed_false_dead_gray: total(|v| v.fixed.false_dead_gray),
+                fixed_false_suspects: total(|v| v.fixed.false_suspects),
+                fixed_forced_releases: total(|v| v.fixed.forced_releases),
+                fixed_watchdog_trips: total(|v| v.fixed.watchdog_trips),
+                adaptive_false_deads: total(|v| v.adaptive.false_deads),
+                adaptive_false_dead_gray: total(|v| v.adaptive.false_dead_gray),
+                adaptive_false_suspects: total(|v| v.adaptive.false_suspects),
+                adaptive_degradeds: total(|v| v.adaptive.degradeds),
+                adaptive_gray_hits: total(|v| v.adaptive.gray_hits),
+                adaptive_forced_releases: total(|v| v.adaptive.forced_releases),
+                adaptive_watchdog_trips: total(|v| v.adaptive.watchdog_trips),
+                slowdowns: total(|v| v.slowdowns),
+                stalls: total(|v| v.stalls),
+                link_degrades: total(|v| v.link_degrades),
+                fixed_inflation: inflation(|v| v.fixed.mean_inflation),
+                adaptive_inflation: inflation(|v| v.adaptive.mean_inflation),
+                stalled_runs: runs
+                    .iter()
+                    .filter(|v| v.fixed.stalled || v.adaptive.stalled)
+                    .count(),
+                invariant_violations: runs
+                    .iter()
+                    .map(|v| v.fixed_violations.len() + v.adaptive_violations.len())
+                    .sum(),
             }
-            if fx_n > 0 {
-                cell.fixed_inflation = fx_sum / fx_n as f64;
-            }
-            if ad_n > 0 {
-                cell.adaptive_inflation = ad_sum / ad_n as f64;
-            }
-            cell
         })
         .collect();
 
-    GrayOutcome { cells, verdicts }
+    GrayOutcome {
+        cells,
+        verdicts: verdicts.into_iter().flatten().collect(),
+    }
 }
 
 /// Cell-level CSV: one row per grid coordinate, both arms side by side.
 pub fn grid_csv(outcome: &GrayOutcome) -> String {
-    let mut out = String::from(
-        "slow_factor,stall_span,link_drop,slowdown_only,runs,\
-         slowdowns,stalls,link_degrades,\
-         fixed_false_deads,fixed_false_dead_gray,fixed_false_suspects,\
-         fixed_forced_releases,fixed_watchdog_trips,fixed_inflation,\
-         adaptive_false_deads,adaptive_false_dead_gray,adaptive_false_suspects,\
-         adaptive_degradeds,adaptive_gray_hits,adaptive_forced_releases,\
-         adaptive_watchdog_trips,adaptive_inflation,stalled_runs,\
-         invariant_violations\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.slow_factor,
-            c.stall_span,
-            c.link_drop,
-            u8::from(c.slowdown_only),
-            c.runs,
-            c.slowdowns,
-            c.stalls,
-            c.link_degrades,
-            c.fixed_false_deads,
-            c.fixed_false_dead_gray,
-            c.fixed_false_suspects,
-            c.fixed_forced_releases,
-            c.fixed_watchdog_trips,
-            fmt_f64(c.fixed_inflation),
-            c.adaptive_false_deads,
-            c.adaptive_false_dead_gray,
-            c.adaptive_false_suspects,
-            c.adaptive_degradeds,
-            c.adaptive_gray_hits,
-            c.adaptive_forced_releases,
-            c.adaptive_watchdog_trips,
-            fmt_f64(c.adaptive_inflation),
-            c.stalled_runs,
-            c.invariant_violations,
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("slow_factor", |c| c.slow_factor)
+        .col("stall_span", |c| c.stall_span)
+        .col("link_drop", |c| c.link_drop)
+        .col("slowdown_only", |c| u8::from(c.slowdown_only))
+        .col("runs", |c| c.runs)
+        .col("slowdowns", |c| c.slowdowns)
+        .col("stalls", |c| c.stalls)
+        .col("link_degrades", |c| c.link_degrades)
+        .col("fixed_false_deads", |c| c.fixed_false_deads)
+        .col("fixed_false_dead_gray", |c| c.fixed_false_dead_gray)
+        .col("fixed_false_suspects", |c| c.fixed_false_suspects)
+        .col("fixed_forced_releases", |c| c.fixed_forced_releases)
+        .col("fixed_watchdog_trips", |c| c.fixed_watchdog_trips)
+        .float("fixed_inflation", |c| c.fixed_inflation)
+        .col("adaptive_false_deads", |c| c.adaptive_false_deads)
+        .col("adaptive_false_dead_gray", |c| c.adaptive_false_dead_gray)
+        .col("adaptive_false_suspects", |c| c.adaptive_false_suspects)
+        .col("adaptive_degradeds", |c| c.adaptive_degradeds)
+        .col("adaptive_gray_hits", |c| c.adaptive_gray_hits)
+        .col("adaptive_forced_releases", |c| c.adaptive_forced_releases)
+        .col("adaptive_watchdog_trips", |c| c.adaptive_watchdog_trips)
+        .float("adaptive_inflation", |c| c.adaptive_inflation)
+        .col("stalled_runs", |c| c.stalled_runs)
+        .col("invariant_violations", |c| c.invariant_violations)
+        .render()
 }
 
 /// Summary CSV: one row per slowdown factor, aggregated over the stall
 /// and link axes — the false-dead cliff in three lines.
 pub fn summary_csv(outcome: &GrayOutcome) -> String {
-    let mut out = String::from(
-        "slow_factor,cells,runs,fixed_false_deads,fixed_false_dead_rate,\
-         adaptive_false_deads,adaptive_false_dead_rate,adaptive_degradeds,\
-         adaptive_gray_hits,fixed_inflation,adaptive_inflation,\
-         invariant_violations\n",
-    );
     let mut levels: Vec<u32> = outcome.cells.iter().map(|c| c.slow_factor).collect();
     levels.dedup();
-    for factor in levels {
-        let group: Vec<&GrayCell> = outcome
-            .cells
-            .iter()
-            .filter(|c| c.slow_factor == factor)
-            .collect();
-        let runs: usize = group.iter().map(|c| c.runs).sum();
-        let fixed: u64 = group.iter().map(|c| c.fixed_false_deads).sum();
-        let adaptive: u64 = group.iter().map(|c| c.adaptive_false_deads).sum();
-        let mean = |pick: fn(&GrayCell) -> f64| {
-            let finite: Vec<f64> = group
+    let groups: Vec<Vec<&GrayCell>> = levels
+        .iter()
+        .map(|&f| {
+            outcome
+                .cells
                 .iter()
-                .map(|c| pick(c))
-                .filter(|v| v.is_finite())
-                .collect();
-            if finite.is_empty() {
-                f64::NAN
-            } else {
-                finite.iter().sum::<f64>() / finite.len() as f64
-            }
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            factor,
-            group.len(),
-            runs,
-            fixed,
-            fmt_f64(fixed as f64 / runs.max(1) as f64),
-            adaptive,
-            fmt_f64(adaptive as f64 / runs.max(1) as f64),
-            group.iter().map(|c| c.adaptive_degradeds).sum::<u64>(),
-            group.iter().map(|c| c.adaptive_gray_hits).sum::<u64>(),
-            fmt_f64(mean(|c| c.fixed_inflation)),
-            fmt_f64(mean(|c| c.adaptive_inflation)),
-            group.iter().map(|c| c.invariant_violations).sum::<usize>(),
-        ));
-    }
-    out
+                .filter(|c| c.slow_factor == f)
+                .collect()
+        })
+        .collect();
+    let sum = |g: &Vec<&GrayCell>, f: fn(&GrayCell) -> u64| g.iter().map(|&c| f(c)).sum::<u64>();
+    let runs = |g: &Vec<&GrayCell>| g.iter().map(|c| c.runs).sum::<usize>();
+    let per_run = |g: &Vec<&GrayCell>, f| sum(g, f) as f64 / runs(g).max(1) as f64;
+    let inflation = |g: &Vec<&GrayCell>, f: fn(&GrayCell) -> f64| {
+        mean(g.iter().map(|&c| f(c)).filter(|v| v.is_finite()))
+    };
+    Csv::new(&groups)
+        .col("slow_factor", |g| g[0].slow_factor)
+        .col("cells", |g| g.len())
+        .col("runs", runs)
+        .col("fixed_false_deads", |g| sum(g, |c| c.fixed_false_deads))
+        .float("fixed_false_dead_rate", |g| {
+            per_run(g, |c| c.fixed_false_deads)
+        })
+        .col("adaptive_false_deads", |g| {
+            sum(g, |c| c.adaptive_false_deads)
+        })
+        .float("adaptive_false_dead_rate", |g| {
+            per_run(g, |c| c.adaptive_false_deads)
+        })
+        .col("adaptive_degradeds", |g| sum(g, |c| c.adaptive_degradeds))
+        .col("adaptive_gray_hits", |g| sum(g, |c| c.adaptive_gray_hits))
+        .float("fixed_inflation", |g| inflation(g, |c| c.fixed_inflation))
+        .float("adaptive_inflation", |g| {
+            inflation(g, |c| c.adaptive_inflation)
+        })
+        .col("invariant_violations", |g| {
+            sum(g, |c| c.invariant_violations as u64)
+        })
+        .render()
 }
 
 /// ASCII rendering of the campaign for the terminal.
@@ -760,14 +662,6 @@ pub fn render(outcome: &GrayOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]
@@ -829,7 +723,7 @@ mod tests {
 
     #[test]
     fn smoke_config_covers_the_grid() {
-        let cfg = GrayStudyConfig::smoke(16);
+        let cfg = GrayStudyConfig::smoke();
         assert!(cfg.total_runs() >= 16);
         assert!(cfg.slow_factors.contains(&1) && cfg.slow_factors.iter().any(|&f| f > 1));
         assert!(cfg.stall_spans.iter().any(|&s| s > 0));

@@ -18,10 +18,7 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{fmt_f64, inflation_tally, missed_and_measured, run_grid, Csv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::analysis::AnalysisConfig;
@@ -29,7 +26,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel, ClockModel, NonidealConfig};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::ViolationKind;
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -109,8 +106,7 @@ pub struct RobustnessCell {
 /// Per-system, per-protocol raw numbers (summed into the cell aggregate).
 #[derive(Clone, Copy, Default)]
 struct Tally {
-    inflation_sum: f64,
-    inflation_count: u64,
+    inflation: crate::campaign::Tally,
     missed: u64,
     measured: u64,
     precedence_violations: u64,
@@ -118,7 +114,7 @@ struct Tally {
 }
 
 /// The nonideal conditions of one grid cell.
-fn cell_conditions(
+pub(crate) fn cell_conditions(
     cfg: &RobustnessConfig,
     drift_ppm: i64,
     latency: i64,
@@ -162,29 +158,21 @@ fn evaluate_system(
                     .with_nonideal(conditions.clone()),
             )
             .expect("same system, same analysis");
-            let mut tally = Tally::default();
-            for ratio in eer_inflation(&ideal.metrics, &observed.metrics)
-                .into_iter()
-                .flatten()
-            {
-                tally.inflation_sum += ratio;
-                tally.inflation_count += 1;
+            let (missed, measured) = missed_and_measured(&observed);
+            let count = |kind| {
+                observed
+                    .violations
+                    .iter()
+                    .filter(|v| v.kind == kind)
+                    .count() as u64
+            };
+            Tally {
+                inflation: inflation_tally(&ideal, &observed),
+                missed,
+                measured,
+                precedence_violations: count(ViolationKind::PrecedenceViolated),
+                mpm_overruns: count(ViolationKind::MpmOverrun),
             }
-            for t in observed.metrics.tasks() {
-                tally.missed += t.deadline_misses();
-                tally.measured += t.measured();
-            }
-            tally.precedence_violations = observed
-                .violations
-                .iter()
-                .filter(|v| v.kind == ViolationKind::PrecedenceViolated)
-                .count() as u64;
-            tally.mpm_overruns = observed
-                .violations
-                .iter()
-                .filter(|v| v.kind == ViolationKind::MpmOverrun)
-                .count() as u64;
-            tally
         })
         .collect()
 }
@@ -194,56 +182,32 @@ fn evaluate_system(
 /// reused in every cell, so cells differ only in the modeled conditions.
 pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
     let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
-    let system_seeds: Vec<u64> = (0..cfg.systems_per_config)
-        .map(|i| job_seed(cfg.seed, 0, i))
-        .collect();
-
-    // Flat job list: (cell index, system index), deterministic seeds.
     let cells: Vec<(i64, i64)> = cfg
         .drift_ppm_values
         .iter()
         .flat_map(|&eps| cfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<Vec<Tally>>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = cells[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let conditions = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
-                let tallies = evaluate_system(&set, cfg, &conditions);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tallies);
-            });
-        }
-    });
-    let results: Vec<Vec<Tally>> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
+    let results = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.systems_per_config,
+        cfg.threads,
+        |&(eps, latency), job| {
+            let set = generate(&spec, &mut StdRng::seed_from_u64(job.system_seed))
+                .expect("paper spec always generates");
+            let conditions = cell_conditions(cfg, eps, latency, job.cond_seed);
+            evaluate_system(&set, cfg, &conditions)
+        },
+    );
 
     cells
         .iter()
-        .enumerate()
-        .map(|(c, &(eps, latency))| {
+        .zip(&results)
+        .map(|(&(eps, latency), systems)| {
             let mut sums = vec![Tally::default(); Protocol::ALL.len()];
-            for s in 0..cfg.systems_per_config {
-                for (p, t) in results[c * cfg.systems_per_config + s].iter().enumerate() {
-                    sums[p].inflation_sum += t.inflation_sum;
-                    sums[p].inflation_count += t.inflation_count;
+            for system in systems {
+                for (p, t) in system.iter().enumerate() {
+                    sums[p].inflation.merge(t.inflation);
                     sums[p].missed += t.missed;
                     sums[p].measured += t.measured;
                     sums[p].precedence_violations += t.precedence_violations;
@@ -258,11 +222,7 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
                     .zip(&sums)
                     .map(|(&protocol, t)| ProtocolRobustness {
                         protocol,
-                        mean_inflation: if t.inflation_count == 0 {
-                            f64::NAN
-                        } else {
-                            t.inflation_sum / t.inflation_count as f64
-                        },
+                        mean_inflation: t.inflation.mean(),
                         miss_rate: if t.measured == 0 {
                             f64::NAN
                         } else {
@@ -279,24 +239,19 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> Vec<RobustnessCell> {
 
 /// Long-format CSV over the whole grid: one row per (cell, protocol).
 pub fn to_csv(cells: &[RobustnessCell]) -> String {
-    let mut out = String::from(
-        "drift_ppm,latency,protocol,mean_inflation,miss_rate,precedence_violations,mpm_overruns\n",
-    );
-    for cell in cells {
-        for p in &cell.protocols {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                cell.drift_ppm,
-                cell.latency,
-                p.protocol.tag(),
-                fmt_f64(p.mean_inflation),
-                fmt_f64(p.miss_rate),
-                p.precedence_violations,
-                p.mpm_overruns,
-            ));
-        }
-    }
-    out
+    let rows: Vec<(&RobustnessCell, &ProtocolRobustness)> = cells
+        .iter()
+        .flat_map(|cell| cell.protocols.iter().map(move |p| (cell, p)))
+        .collect();
+    Csv::new(&rows)
+        .col("drift_ppm", |(c, _)| c.drift_ppm)
+        .col("latency", |(c, _)| c.latency)
+        .col("protocol", |(_, p)| p.protocol.tag())
+        .float("mean_inflation", |(_, p)| p.mean_inflation)
+        .float("miss_rate", |(_, p)| p.miss_rate)
+        .col("precedence_violations", |(_, p)| p.precedence_violations)
+        .col("mpm_overruns", |(_, p)| p.mpm_overruns)
+        .render()
 }
 
 /// One protocol's inflation matrix as CSV: rows ε, columns L.
@@ -306,26 +261,35 @@ pub fn inflation_matrix_csv(cells: &[RobustnessCell], protocol: Protocol) -> Str
     let mut latencies: Vec<i64> = cells.iter().map(|c| c.latency).collect();
     latencies.sort_unstable();
     latencies.dedup();
+    matrix_csv(&drifts, &latencies, |d, l| {
+        cells
+            .iter()
+            .find(|c| c.drift_ppm == drifts[d] && c.latency == latencies[l])
+            .and_then(|c| c.protocols.iter().find(|p| p.protocol == protocol))
+            .map_or(f64::NAN, |p| p.mean_inflation)
+    })
+}
+
+/// A drift × latency matrix as CSV: a `drift_ppm,L=…` header, then one
+/// row per drift with `value(drift index, latency index)` per column,
+/// empty where the value is not finite.
+pub(crate) fn matrix_csv(
+    drifts: &[i64],
+    latencies: &[i64],
+    value: impl Fn(usize, usize) -> f64,
+) -> String {
     let mut out = String::from("drift_ppm");
-    for l in &latencies {
+    for l in latencies {
         out.push_str(&format!(",L={l}"));
     }
     out.push('\n');
-    for eps in drifts {
+    for (d, eps) in drifts.iter().enumerate() {
         out.push_str(&eps.to_string());
-        for &l in &latencies {
-            let v = cells
-                .iter()
-                .find(|c| c.drift_ppm == eps && c.latency == l)
-                .and_then(|c| {
-                    c.protocols
-                        .iter()
-                        .find(|p| p.protocol == protocol)
-                        .map(|p| p.mean_inflation)
-                });
-            match v {
-                Some(v) if v.is_finite() => out.push_str(&format!(",{v:.4}")),
-                _ => out.push(','),
+        for l in 0..latencies.len() {
+            out.push(',');
+            let v = value(d, l);
+            if v.is_finite() {
+                out.push_str(&fmt_f64(v));
             }
         }
         out.push('\n');
@@ -358,14 +322,6 @@ pub fn render(cells: &[RobustnessCell]) -> String {
         }
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,7 @@
 //! configuration, under every protocol, collecting everything Figures
 //! 12–16 need in one pass per system.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use crate::campaign::{mean, run_indexed};
 use crate::seeding::system_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -213,32 +211,11 @@ pub fn run_study(cfg: &StudyConfig) -> Vec<ConfigOutcome> {
 
 fn evaluate_many(n: usize, u: f64, cfg: &StudyConfig) -> Vec<SystemEval> {
     let spec = WorkloadSpec::paper(n, u).with_random_phases();
-    let seeds: Vec<u64> = (0..cfg.systems_per_config)
-        .map(|i| system_seed(cfg.seed, n, u, i))
-        .collect();
-    let results: Mutex<Vec<Option<SystemEval>>> = Mutex::new(vec![None; cfg.systems_per_config]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, cfg.systems_per_config.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let mut rng = StdRng::seed_from_u64(seeds[i]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let eval = evaluate_system(&set, cfg);
-                results.lock().expect("no panics while holding the lock")[i] = Some(eval);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|e| e.expect("every index was evaluated"))
-        .collect()
+    run_indexed(cfg.systems_per_config, cfg.threads, |i| {
+        let mut rng = StdRng::seed_from_u64(system_seed(cfg.seed, n, u, i));
+        let set = generate(&spec, &mut rng).expect("paper spec always generates");
+        evaluate_system(&set, cfg)
+    })
 }
 
 fn aggregate(n: usize, u: f64, evals: &[SystemEval]) -> ConfigOutcome {
@@ -249,7 +226,7 @@ fn aggregate(n: usize, u: f64, evals: &[SystemEval]) -> ConfigOutcome {
             .flat_map(|e| select(e).iter().copied())
             .collect()
     };
-    let mean_of = |select: fn(&SystemEval) -> &Vec<f64>| mean(&collect(select));
+    let mean_of = |select: fn(&SystemEval) -> &Vec<f64>| mean(collect(select));
     ConfigOutcome {
         n,
         u,
@@ -268,21 +245,13 @@ fn aggregate(n: usize, u: f64, evals: &[SystemEval]) -> ConfigOutcome {
     }
 }
 
-fn mean(vals: &[f64]) -> f64 {
-    if vals.is_empty() {
-        f64::NAN
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
-}
-
 /// Half-width of the 90% confidence interval of the sample mean, using the
 /// normal approximation (`1.645 · s/√n`); `NaN` below two samples.
 pub fn ci90_half_width(vals: &[f64]) -> f64 {
     if vals.len() < 2 {
         return f64::NAN;
     }
-    let m = mean(vals);
+    let m = mean(vals.iter().copied());
     let var = vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (vals.len() - 1) as f64;
     1.645 * (var / vals.len() as f64).sqrt()
 }

@@ -29,10 +29,7 @@
 //! systems and bit-for-bit deterministic for a given seed regardless of
 //! thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{fmt_f64, inflation_tally, run_grid, Csv, Tally};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::analysis::AnalysisConfig;
@@ -40,7 +37,7 @@ use rtsync_core::protocol::Protocol;
 use rtsync_core::task::TaskSet;
 use rtsync_core::time::Dur;
 use rtsync_sim::engine::{simulate, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel, ClockModel, NonidealConfig};
+use rtsync_sim::nonideal::{ChannelModel, ClockModel, NonidealConfig};
 use rtsync_sim::{SyncConfig, SyncPolicy, SyncStats, ViolationKind};
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -66,7 +63,9 @@ pub struct SyncStudyConfig {
     pub u: f64,
     /// Systems evaluated per grid cell (the *same* systems in every cell).
     pub systems_per_config: usize,
-    /// Master seed; system and nonideal seeds derive from it.
+    /// Master seed; system and nonideal seeds derive from it. The default
+    /// is the `reproduce` seed, so `rtsync study sync` and `reproduce sync`
+    /// write the same recorded `sync_*.csv`.
     pub seed: u64,
     /// End-to-end instances simulated per task.
     pub instances_per_task: u64,
@@ -87,7 +86,7 @@ impl Default for SyncStudyConfig {
             n: 3,
             u: 0.6,
             systems_per_config: 10,
-            seed: 0xD81F_7002,
+            seed: 0xC0FF_EE00,
             instances_per_task: 10,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             analysis: AnalysisConfig::default(),
@@ -120,37 +119,10 @@ impl SyncStudyConfig {
     }
 }
 
-/// Mean-inflation accumulator.
-#[derive(Clone, Copy, Default)]
-struct InflTally {
-    sum: f64,
-    count: u64,
-}
-
-impl InflTally {
-    fn absorb(&mut self, ideal: &SimOutcome, observed: &SimOutcome) {
-        for ratio in eer_inflation(&ideal.metrics, &observed.metrics)
-            .into_iter()
-            .flatten()
-        {
-            self.sum += ratio;
-            self.count += 1;
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// One synced PM run's contribution to a `(cell, period)` aggregate.
 #[derive(Clone, Default)]
 struct PeriodTally {
-    inflation: InflTally,
+    inflation: Tally,
     precedence_violations: u64,
     sync_error_sum: i64,
     sync_error_samples: u64,
@@ -164,10 +136,10 @@ struct PeriodTally {
 /// One system's results in one `(drift, latency)` cell.
 #[derive(Clone, Default)]
 struct SystemTally {
-    pm_unsynced: InflTally,
+    pm_unsynced: Tally,
     pm_unsynced_precedence: u64,
-    mpm: InflTally,
-    rg: InflTally,
+    mpm: Tally,
+    rg: Tally,
     per_period: Vec<PeriodTally>,
 }
 
@@ -280,11 +252,11 @@ fn evaluate_system(
         let observed = run(&base(protocol).with_nonideal(conditions.clone()));
         match protocol {
             Protocol::PhaseModification => {
-                tally.pm_unsynced.absorb(&ideal, &observed);
+                tally.pm_unsynced = inflation_tally(&ideal, &observed);
                 tally.pm_unsynced_precedence = precedence_count(&observed);
             }
-            Protocol::ModifiedPhaseModification => tally.mpm.absorb(&ideal, &observed),
-            _ => tally.rg.absorb(&ideal, &observed),
+            Protocol::ModifiedPhaseModification => tally.mpm = inflation_tally(&ideal, &observed),
+            _ => tally.rg = inflation_tally(&ideal, &observed),
         }
     }
 
@@ -294,7 +266,8 @@ fn evaluate_system(
             .with_nonideal(conditions.clone())
             .with_sync(SyncConfig::new(Dur::from_ticks(period)).with_policy(cfg.policy)));
         let s: &SyncStats = &synced.sync_stats;
-        let mut pt = PeriodTally {
+        tally.per_period.push(PeriodTally {
+            inflation: inflation_tally(&pm_ideal, &synced),
             precedence_violations: precedence_count(&synced),
             sync_error_sum: s.sum_true_error,
             sync_error_samples: s.true_error_samples,
@@ -303,10 +276,7 @@ fn evaluate_system(
             sync_rounds: s.rounds,
             sync_frames: s.frames,
             channel_sent: synced.channel_stats.sent,
-            ..PeriodTally::default()
-        };
-        pt.inflation.absorb(&pm_ideal, &synced);
-        tally.per_period.push(pt);
+        });
     }
     tally
 }
@@ -314,72 +284,45 @@ fn evaluate_system(
 /// Runs the whole study. See [`SyncStudyOutcome`] for the result layout.
 pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
     let spec = WorkloadSpec::paper(cfg.n, cfg.u).with_random_phases();
-    let system_seeds: Vec<u64> = (0..cfg.systems_per_config)
-        .map(|i| job_seed(cfg.seed, 0, i))
-        .collect();
-
     let conditions: Vec<(i64, i64)> = cfg
         .drift_ppm_values
         .iter()
         .flat_map(|&eps| cfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..conditions.len())
-        .flat_map(|c| (0..cfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<SystemTally>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = cfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = conditions[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                let cell = cell_conditions(cfg, eps, latency, job_seed(cfg.seed, c + 1, s));
-                let tally = evaluate_system(&set, cfg, &cell);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tally);
-            });
-        }
-    });
-    let results: Vec<SystemTally> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
+    let results = run_grid(
+        cfg.seed,
+        &conditions,
+        cfg.systems_per_config,
+        cfg.threads,
+        |&(eps, latency), job| {
+            let set = generate(&spec, &mut StdRng::seed_from_u64(job.system_seed))
+                .expect("paper spec always generates");
+            let cell = cell_conditions(cfg, eps, latency, job.cond_seed);
+            evaluate_system(&set, cfg, &cell)
+        },
+    );
 
     let mut cells = Vec::new();
     let mut summaries = Vec::new();
-    for (c, &(eps, latency)) in conditions.iter().enumerate() {
-        let systems = &results[c * cfg.systems_per_config..(c + 1) * cfg.systems_per_config];
-        let mut pm_unsynced = InflTally::default();
-        let mut mpm = InflTally::default();
-        let mut rg = InflTally::default();
+    for (&(eps, latency), systems) in conditions.iter().zip(&results) {
+        let mut pm_unsynced = Tally::default();
+        let mut mpm = Tally::default();
+        let mut rg = Tally::default();
         let mut pm_unsynced_precedence = 0;
         for t in systems {
-            pm_unsynced.sum += t.pm_unsynced.sum;
-            pm_unsynced.count += t.pm_unsynced.count;
-            mpm.sum += t.mpm.sum;
-            mpm.count += t.mpm.count;
-            rg.sum += t.rg.sum;
-            rg.count += t.rg.count;
+            pm_unsynced.merge(t.pm_unsynced);
+            mpm.merge(t.mpm);
+            rg.merge(t.rg);
             pm_unsynced_precedence += t.pm_unsynced_precedence;
         }
 
         let mut cell_rows = Vec::new();
         for (pi, &period) in cfg.sync_periods.iter().enumerate() {
-            let mut infl = InflTally::default();
+            let mut infl = Tally::default();
             let mut agg = PeriodTally::default();
             for t in systems {
                 let pt = &t.per_period[pi];
-                infl.sum += pt.inflation.sum;
-                infl.count += pt.inflation.count;
+                infl.merge(pt.inflation);
                 agg.precedence_violations += pt.precedence_violations;
                 agg.sync_error_sum += pt.sync_error_sum;
                 agg.sync_error_samples += pt.sync_error_samples;
@@ -436,52 +379,41 @@ pub fn run_sync_study(cfg: &SyncStudyConfig) -> SyncStudyOutcome {
 
 /// Long-format CSV of the grid: one row per `(drift, latency, period)`.
 pub fn grid_csv(outcome: &SyncStudyOutcome) -> String {
-    let mut out = String::from(
-        "drift_ppm,latency,sync_period,pm_synced_inflation,pm_synced_precedence,\
-         mean_clock_error,max_clock_error,max_uncertainty,sync_rounds,sync_traffic_share\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            c.drift_ppm,
-            c.latency,
-            c.sync_period,
-            fmt_f64(c.pm_synced_inflation),
-            c.pm_synced_precedence,
-            fmt_f64(c.mean_clock_error),
-            c.max_clock_error,
-            c.max_uncertainty,
-            c.sync_rounds,
-            fmt_f64(c.sync_traffic_share),
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("drift_ppm", |c| c.drift_ppm)
+        .col("latency", |c| c.latency)
+        .col("sync_period", |c| c.sync_period)
+        .float("pm_synced_inflation", |c| c.pm_synced_inflation)
+        .col("pm_synced_precedence", |c| c.pm_synced_precedence)
+        .float("mean_clock_error", |c| c.mean_clock_error)
+        .col("max_clock_error", |c| c.max_clock_error)
+        .col("max_uncertainty", |c| c.max_uncertainty)
+        .col("sync_rounds", |c| c.sync_rounds)
+        .float("sync_traffic_share", |c| c.sync_traffic_share)
+        .render()
 }
 
 /// Summary CSV: one row per `(drift, latency)` with the viability
-/// threshold.
+/// threshold; the threshold fields are empty where no period qualifies.
 pub fn summary_csv(outcome: &SyncStudyOutcome) -> String {
-    let mut out = String::from(
-        "drift_ppm,latency,pm_unsynced_inflation,pm_unsynced_precedence,mpm_inflation,\
-         rg_inflation,threshold_period,threshold_clock_error,threshold_pm_inflation\n",
-    );
-    for s in &outcome.summaries {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            s.drift_ppm,
-            s.latency,
-            fmt_f64(s.pm_unsynced_inflation),
-            s.pm_unsynced_precedence,
-            fmt_f64(s.mpm_inflation),
-            fmt_f64(s.rg_inflation),
-            s.threshold_period.map_or(String::new(), |p| p.to_string()),
+    Csv::new(&outcome.summaries)
+        .col("drift_ppm", |s| s.drift_ppm)
+        .col("latency", |s| s.latency)
+        .float("pm_unsynced_inflation", |s| s.pm_unsynced_inflation)
+        .col("pm_unsynced_precedence", |s| s.pm_unsynced_precedence)
+        .float("mpm_inflation", |s| s.mpm_inflation)
+        .float("rg_inflation", |s| s.rg_inflation)
+        .col("threshold_period", |s| {
+            s.threshold_period.map_or(String::new(), |p| p.to_string())
+        })
+        .col("threshold_clock_error", |s| {
             s.threshold_clock_error
-                .map_or(String::new(), |e| format!("{e:.2}")),
-            s.threshold_pm_inflation
-                .map_or(String::new(), |i| format!("{i:.4}")),
-        ));
-    }
-    out
+                .map_or(String::new(), |e| format!("{e:.2}"))
+        })
+        .col("threshold_pm_inflation", |s| {
+            s.threshold_pm_inflation.map_or(String::new(), fmt_f64)
+        })
+        .render()
 }
 
 /// ASCII rendering for the terminal.
@@ -537,105 +469,43 @@ pub fn robustness_pm_synced_csv(
     policy: SyncPolicy,
 ) -> String {
     let spec = WorkloadSpec::paper(rcfg.n, rcfg.u).with_random_phases();
-    let system_seeds: Vec<u64> = (0..rcfg.systems_per_config)
-        .map(|i| job_seed(rcfg.seed, 0, i))
-        .collect();
     let cells: Vec<(i64, i64)> = rcfg
         .drift_ppm_values
         .iter()
         .flat_map(|&eps| rcfg.latency_values.iter().map(move |&l| (eps, l)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..rcfg.systems_per_config).map(move |s| (c, s)))
-        .collect();
-
-    let results: Mutex<Vec<Option<InflTally>>> = Mutex::new(vec![None; jobs.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = rcfg.threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (c, s) = jobs[j];
-                let (eps, latency) = cells[c];
-                let mut rng = StdRng::seed_from_u64(system_seeds[s]);
-                let set = generate(&spec, &mut rng).expect("paper spec always generates");
-                // Identical conditions to the unsynced robustness grid
-                // (same derived seeds), plus the sync layer.
-                let mut ni = NonidealConfig::default();
-                let seed = job_seed(rcfg.seed, c + 1, s);
-                if eps > 0 {
-                    ni = ni.with_clocks(ClockModel::Random {
-                        max_offset: Dur::from_ticks(rcfg.max_offset),
-                        max_drift_ppm: eps,
-                        seed,
-                    });
-                }
-                if latency > 0 {
-                    ni = ni.with_channel(
-                        ChannelModel::uniform(Dur::ZERO, Dur::from_ticks(latency))
-                            .with_seed(seed ^ 0x5ca1_ab1e),
-                    );
-                }
-                let base = SimConfig::new(Protocol::PhaseModification)
-                    .with_instances(rcfg.instances_per_task);
-                let ideal = simulate(&set, &base).expect("study systems are analyzable");
-                let synced = simulate(
-                    &set,
-                    &base.clone().with_nonideal(ni).with_sync(
-                        SyncConfig::new(Dur::from_ticks(sync_period)).with_policy(policy),
-                    ),
-                )
-                .expect("same system, same analysis");
-                let mut tally = InflTally::default();
-                tally.absorb(&ideal, &synced);
-                results.lock().expect("no panics while holding the lock")[j] = Some(tally);
-            });
+    let results = run_grid(
+        rcfg.seed,
+        &cells,
+        rcfg.systems_per_config,
+        rcfg.threads,
+        |&(eps, latency), job| {
+            let set = generate(&spec, &mut StdRng::seed_from_u64(job.system_seed))
+                .expect("paper spec always generates");
+            // Identical conditions to the unsynced robustness grid (same
+            // derived seeds), plus the sync layer.
+            let ni = crate::robustness::cell_conditions(rcfg, eps, latency, job.cond_seed);
+            let base =
+                SimConfig::new(Protocol::PhaseModification).with_instances(rcfg.instances_per_task);
+            let ideal = simulate(&set, &base).expect("study systems are analyzable");
+            let synced = simulate(
+                &set,
+                &base
+                    .clone()
+                    .with_nonideal(ni)
+                    .with_sync(SyncConfig::new(Dur::from_ticks(sync_period)).with_policy(policy)),
+            )
+            .expect("same system, same analysis");
+            inflation_tally(&ideal, &synced)
+        },
+    );
+    crate::robustness::matrix_csv(&rcfg.drift_ppm_values, &rcfg.latency_values, |d, l| {
+        let mut cell = Tally::default();
+        for &t in &results[d * rcfg.latency_values.len() + l] {
+            cell.merge(t);
         }
-    });
-    let results: Vec<InflTally> = results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|t| t.expect("every job was evaluated"))
-        .collect();
-
-    let mut out = String::from("drift_ppm");
-    for l in &rcfg.latency_values {
-        out.push_str(&format!(",L={l}"));
-    }
-    out.push('\n');
-    for (d, &eps) in rcfg.drift_ppm_values.iter().enumerate() {
-        out.push_str(&eps.to_string());
-        for l in 0..rcfg.latency_values.len() {
-            let c = d * rcfg.latency_values.len() + l;
-            let mut cell = InflTally::default();
-            for s in 0..rcfg.systems_per_config {
-                let t = &results[c * rcfg.systems_per_config + s];
-                cell.sum += t.sum;
-                cell.count += t.count;
-            }
-            let v = cell.mean();
-            if v.is_finite() {
-                out.push_str(&format!(",{v:.4}"));
-            } else {
-                out.push(',');
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
+        cell.mean()
+    })
 }
 
 #[cfg(test)]

@@ -29,16 +29,15 @@
 //! over runs and bit-for-bit deterministic for a given seed regardless
 //! of the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::seeding::job_seed;
+use crate::campaign::{
+    fmt_f64, mean, mean_inflation, miss_or_loss_ratio, missed_and_measured, run_grid, Csv,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtsync_core::protocol::Protocol;
 use rtsync_core::time::Dur;
-use rtsync_sim::engine::{simulate, SimConfig, SimOutcome};
-use rtsync_sim::nonideal::{eer_inflation, ChannelModel};
+use rtsync_sim::engine::{simulate, SimConfig};
+use rtsync_sim::nonideal::ChannelModel;
 use rtsync_sim::{DetectorConfig, FaultConfig, TransportConfig, ViolationKind};
 use rtsync_workload::{generate, WorkloadSpec};
 
@@ -240,15 +239,6 @@ fn grid_sim(cfg: &TransportStudyConfig, cell: &(Protocol, f64, i64, u32), seed: 
         )
 }
 
-fn miss_and_measured(out: &SimOutcome) -> (u64, u64) {
-    let (mut missed, mut measured) = (0, 0);
-    for t in out.metrics.tasks() {
-        missed += t.deadline_misses();
-        measured += t.measured();
-    }
-    (missed, measured)
-}
-
 fn evaluate_grid_run(
     cfg: &TransportStudyConfig,
     cell: &(Protocol, f64, i64, u32),
@@ -265,15 +255,7 @@ fn evaluate_grid_run(
     let baseline = simulate(&set, &grid_sim(cfg, &twin_cell, system_seed))
         .expect("study systems are analyzable under SA/PM");
 
-    let (mut infl_sum, mut infl_n) = (0.0, 0u64);
-    for ratio in eer_inflation(&baseline.metrics, &lossy.metrics)
-        .into_iter()
-        .flatten()
-    {
-        infl_sum += ratio;
-        infl_n += 1;
-    }
-    let (missed, measured) = miss_and_measured(&lossy);
+    let (missed, measured) = missed_and_measured(&lossy);
     let ts = &lossy.transport_stats;
     GridRun {
         sent: ts.sent,
@@ -283,11 +265,7 @@ fn evaluate_grid_run(
         lost: lossy.metrics.total_lost(),
         missed,
         measured,
-        inflation: if infl_n == 0 {
-            f64::NAN
-        } else {
-            infl_sum / infl_n as f64
-        },
+        inflation: mean_inflation(&baseline, &lossy),
         stalled: !lossy.reached_target,
     }
 }
@@ -334,7 +312,7 @@ fn evaluate_detector_run(
                 .with_detector(DetectorConfig::new(Dur::from_ticks(cfg.heartbeat_period))),
         );
     let out = simulate(&set, &sim).expect("study systems are analyzable under SA/PM");
-    let (missed, measured) = miss_and_measured(&out);
+    let (missed, measured) = missed_and_measured(&out);
     let ds = &out.detect_stats;
     DetectorRun {
         crashes: out.fault_stats.crashes,
@@ -356,32 +334,6 @@ fn evaluate_detector_run(
     }
 }
 
-/// Runs worker threads over `jobs`, filling one slot per job; the result
-/// is deterministic for a given job list regardless of the thread count.
-fn run_jobs<T: Send, F: Fn(usize) -> T + Sync>(count: usize, threads: usize, f: F) -> Vec<T> {
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let threads = threads.clamp(1, count.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= count {
-                    break;
-                }
-                let result = f(j);
-                results.lock().expect("no panics while holding the lock")[j] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("lock released")
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
-}
-
 /// Runs the whole study: the drop × timeout × backoff grid (unbounded
 /// retry budget) and the detector leg (random crashes, heartbeat
 /// detection). Bit-for-bit deterministic for a given config regardless
@@ -398,115 +350,73 @@ pub fn run_transport_study(cfg: &TransportStudyConfig) -> TransportOutcome {
             })
         })
         .collect();
-
-    let grid_jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.runs_per_cell).map(move |r| (c, r)))
-        .collect();
-    let grid_results = run_jobs(grid_jobs.len(), cfg.threads, |j| {
-        let (c, r) = grid_jobs[j];
-        evaluate_grid_run(cfg, &cells[c], job_seed(cfg.seed, 0, r))
-    });
-
-    let det_jobs: Vec<(usize, usize)> = (0..cfg.protocols.len())
-        .flat_map(|p| (0..cfg.detector_runs).map(move |r| (p, r)))
-        .collect();
-    let det_results = run_jobs(det_jobs.len(), cfg.threads, |j| {
-        let (p, r) = det_jobs[j];
-        evaluate_detector_run(
-            cfg,
-            cfg.protocols[p],
-            job_seed(cfg.seed, 0, r),
-            job_seed(cfg.seed, p + 1, r),
-        )
-    });
+    let grid = run_grid(
+        cfg.seed,
+        &cells,
+        cfg.runs_per_cell,
+        cfg.threads,
+        |cell, job| evaluate_grid_run(cfg, cell, job.system_seed),
+    );
+    let legs = run_grid(
+        cfg.seed,
+        &cfg.protocols,
+        cfg.detector_runs,
+        cfg.threads,
+        |&protocol, job| evaluate_detector_run(cfg, protocol, job.system_seed, job.cond_seed),
+    );
 
     let cells = cells
         .iter()
-        .enumerate()
-        .map(|(c, &(protocol, drop_rate, timeout, backoff))| {
-            let runs = &grid_results[c * cfg.runs_per_cell..(c + 1) * cfg.runs_per_cell];
-            let mut cell = TransportCell {
+        .zip(&grid)
+        .map(|(&(protocol, drop_rate, timeout, backoff), runs)| {
+            let total = |f: fn(&GridRun) -> u64| runs.iter().map(f).sum::<u64>();
+            TransportCell {
                 protocol,
                 drop_rate,
                 timeout,
                 backoff,
                 runs: runs.len(),
-                sent: 0,
-                retransmissions: 0,
-                dup_deliveries: 0,
-                gave_up: 0,
-                lost: 0,
-                miss_or_loss_ratio: f64::NAN,
-                mean_inflation: f64::NAN,
-                stalls: 0,
-            };
-            let (mut missed, mut measured) = (0u64, 0u64);
-            let (mut infl_sum, mut infl_n) = (0.0, 0u64);
-            for r in runs {
-                cell.sent += r.sent;
-                cell.retransmissions += r.retransmissions;
-                cell.dup_deliveries += r.dup_deliveries;
-                cell.gave_up += r.gave_up;
-                cell.lost += r.lost;
-                cell.stalls += usize::from(r.stalled);
-                missed += r.missed;
-                measured += r.measured;
-                if r.inflation.is_finite() {
-                    infl_sum += r.inflation;
-                    infl_n += 1;
-                }
+                sent: total(|r| r.sent),
+                retransmissions: total(|r| r.retransmissions),
+                dup_deliveries: total(|r| r.dup_deliveries),
+                gave_up: total(|r| r.gave_up),
+                lost: total(|r| r.lost),
+                miss_or_loss_ratio: miss_or_loss_ratio(
+                    total(|r| r.missed),
+                    total(|r| r.lost),
+                    total(|r| r.measured),
+                ),
+                mean_inflation: mean(runs.iter().map(|r| r.inflation).filter(|v| v.is_finite())),
+                stalls: runs.iter().filter(|r| r.stalled).count(),
             }
-            if measured + cell.lost > 0 {
-                cell.miss_or_loss_ratio =
-                    (missed + cell.lost) as f64 / (measured + cell.lost) as f64;
-            }
-            if infl_n > 0 {
-                cell.mean_inflation = infl_sum / infl_n as f64;
-            }
-            cell
         })
         .collect();
 
     let detectors = cfg
         .protocols
         .iter()
-        .enumerate()
-        .map(|(p, &protocol)| {
-            let runs = &det_results[p * cfg.detector_runs..(p + 1) * cfg.detector_runs];
-            let mut d = DetectorSummary {
+        .zip(&legs)
+        .map(|(&protocol, runs)| {
+            let total = |f: fn(&DetectorRun) -> u64| runs.iter().map(f).sum::<u64>();
+            DetectorSummary {
                 protocol,
                 runs: runs.len(),
-                crashes: 0,
-                heartbeats: 0,
-                suspects: 0,
-                false_suspects: 0,
-                deads: 0,
-                false_deads: 0,
-                forced_releases: 0,
-                stale_suppressed: 0,
-                signal_lost: 0,
-                lost: 0,
-                miss_or_loss_ratio: f64::NAN,
-            };
-            let (mut missed, mut measured) = (0u64, 0u64);
-            for r in runs {
-                d.crashes += r.crashes;
-                d.heartbeats += r.heartbeats;
-                d.suspects += r.suspects;
-                d.false_suspects += r.false_suspects;
-                d.deads += r.deads;
-                d.false_deads += r.false_deads;
-                d.forced_releases += r.forced_releases;
-                d.stale_suppressed += r.stale_suppressed;
-                d.signal_lost += r.signal_lost;
-                d.lost += r.lost;
-                missed += r.missed;
-                measured += r.measured;
+                crashes: total(|r| r.crashes),
+                heartbeats: total(|r| r.heartbeats),
+                suspects: total(|r| r.suspects),
+                false_suspects: total(|r| r.false_suspects),
+                deads: total(|r| r.deads),
+                false_deads: total(|r| r.false_deads),
+                forced_releases: total(|r| r.forced_releases),
+                stale_suppressed: total(|r| r.stale_suppressed),
+                signal_lost: total(|r| r.signal_lost),
+                lost: total(|r| r.lost),
+                miss_or_loss_ratio: miss_or_loss_ratio(
+                    total(|r| r.missed),
+                    total(|r| r.lost),
+                    total(|r| r.measured),
+                ),
             }
-            if measured + d.lost > 0 {
-                d.miss_or_loss_ratio = (missed + d.lost) as f64 / (measured + d.lost) as f64;
-            }
-            d
         })
         .collect();
 
@@ -515,59 +425,44 @@ pub fn run_transport_study(cfg: &TransportStudyConfig) -> TransportOutcome {
 
 /// Grid CSV: one row per `(protocol, drop rate, timeout, backoff)` cell.
 pub fn grid_csv(outcome: &TransportOutcome) -> String {
-    let mut out = String::from(
-        "protocol,drop_rate,timeout,backoff,runs,sent,retransmissions,\
-         dup_deliveries,gave_up,lost,miss_or_loss_ratio,mean_inflation,stalls\n",
-    );
-    for c in &outcome.cells {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.protocol.tag(),
-            c.drop_rate,
-            c.timeout,
-            c.backoff,
-            c.runs,
-            c.sent,
-            c.retransmissions,
-            c.dup_deliveries,
-            c.gave_up,
-            c.lost,
-            fmt_f64(c.miss_or_loss_ratio),
-            fmt_f64(c.mean_inflation),
-            c.stalls,
-        ));
-    }
-    out
+    Csv::new(&outcome.cells)
+        .col("protocol", |c| c.protocol.tag())
+        .col("drop_rate", |c| c.drop_rate)
+        .col("timeout", |c| c.timeout)
+        .col("backoff", |c| c.backoff)
+        .col("runs", |c| c.runs)
+        .col("sent", |c| c.sent)
+        .col("retransmissions", |c| c.retransmissions)
+        .col("dup_deliveries", |c| c.dup_deliveries)
+        .col("gave_up", |c| c.gave_up)
+        .col("lost", |c| c.lost)
+        .float("miss_or_loss_ratio", |c| c.miss_or_loss_ratio)
+        .float("mean_inflation", |c| c.mean_inflation)
+        .col("stalls", |c| c.stalls)
+        .render()
 }
 
 /// Detector-leg CSV: one row per protocol, with the false-positive rate
 /// against the ground-truth crash schedule.
 pub fn summary_csv(outcome: &TransportOutcome) -> String {
-    let mut out = String::from(
-        "protocol,runs,crashes,heartbeats,suspects,false_suspects,deads,\
-         false_deads,false_positive_rate,forced_releases,stale_suppressed,\
-         signal_lost,lost,miss_or_loss_ratio\n",
-    );
-    for d in &outcome.detectors {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            d.protocol.tag(),
-            d.runs,
-            d.crashes,
-            d.heartbeats,
-            d.suspects,
-            d.false_suspects,
-            d.deads,
-            d.false_deads,
-            d.false_positive_rate().map_or("NaN".into(), fmt_f64),
-            d.forced_releases,
-            d.stale_suppressed,
-            d.signal_lost,
-            d.lost,
-            fmt_f64(d.miss_or_loss_ratio),
-        ));
-    }
-    out
+    Csv::new(&outcome.detectors)
+        .col("protocol", |d| d.protocol.tag())
+        .col("runs", |d| d.runs)
+        .col("crashes", |d| d.crashes)
+        .col("heartbeats", |d| d.heartbeats)
+        .col("suspects", |d| d.suspects)
+        .col("false_suspects", |d| d.false_suspects)
+        .col("deads", |d| d.deads)
+        .col("false_deads", |d| d.false_deads)
+        .float("false_positive_rate", |d| {
+            d.false_positive_rate().unwrap_or(f64::NAN)
+        })
+        .col("forced_releases", |d| d.forced_releases)
+        .col("stale_suppressed", |d| d.stale_suppressed)
+        .col("signal_lost", |d| d.signal_lost)
+        .col("lost", |d| d.lost)
+        .float("miss_or_loss_ratio", |d| d.miss_or_loss_ratio)
+        .render()
 }
 
 /// ASCII rendering of the study for the terminal.
@@ -611,14 +506,6 @@ pub fn render(outcome: &TransportOutcome) -> String {
         ));
     }
     out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::from("NaN")
-    }
 }
 
 #[cfg(test)]

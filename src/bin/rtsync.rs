@@ -22,6 +22,7 @@ use rtsync::core::task::{ProcessorId, TaskSet};
 use rtsync::core::textfmt;
 use rtsync::core::time::{Dur, Time};
 use rtsync::core::{AnalysisConfig, Protocol};
+use rtsync::experiments::campaign::runs_per_cell;
 use rtsync::sim::{
     render_dashboard, simulate, simulate_observed, ChannelModel, EventLogObserver, FaultConfig,
     GrayConfig, ProtocolCounters, SimConfig, SlowSchedule, SlowWindow, SourceModel, StallSchedule,
@@ -29,6 +30,7 @@ use rtsync::sim::{
 };
 
 fn main() -> ExitCode {
+    rtsync::experiments::exit_quietly_on_broken_pipe();
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -54,12 +56,7 @@ fn run() -> Result<(), String> {
         "simulate" => cmd_simulate(&args[1..]),
         "report" => cmd_report(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "adversary-study" => cmd_adversary_study(&args[1..]),
-        "gray-study" => cmd_gray_study(&args[1..]),
-        "transport-study" => cmd_transport_study(&args[1..]),
-        "sync-study" => cmd_sync_study(&args[1..]),
-        "admit-study" => cmd_admit_study(&args[1..]),
+        "study" => cmd_study(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -92,13 +89,10 @@ fn usage() -> String {
      rtsync trace <file|-> --protocol ds|pm|mpm|rg [--instances N] \
      [--format perfetto|jsonl|gantt] [--counters] [--telemetry] [--window TICKS] \
      [--out FILE] [--sporadic MAX_EXTRA] [--seed S]\n  \
-     rtsync chaos [--runs N] [--smoke] [--adversarial] [--gray] [--transport] [--seed S] \
-     [--threads T] [--out DIR] [--telemetry FILE] [--window TICKS]\n  \
-     rtsync adversary-study [--smoke] [--runs N] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync gray-study [--smoke] [--runs N] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync transport-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync sync-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
-     rtsync admit-study [--smoke] [--seed S] [--threads T] [--out DIR]\n  \
+     rtsync study <chaos|transport|sync|adversary|gray|admit> [--smoke] [--runs N] \
+     [--seed S] [--threads T] [--out DIR]\n    \
+     (--runs: chaos, adversary and gray only; chaos also takes [--transport] \
+     [--telemetry FILE] [--window TICKS])\n  \
      rtsync bench [--json] [--smoke] [--out FILE] [--profile] \
      [--compare BASELINE] [--tolerance FRAC|scenario=FRAC]"
         .to_string()
@@ -341,7 +335,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
                 }
             }
             served += 1;
-            writeln!(sink, "{reply}").map_err(|e| format!("writing reply: {e}"))?;
+            writeln!(sink, "{reply}").map_err(stdout_error("writing reply"))?;
             Ok(())
         };
         if path == "-" && !batch {
@@ -351,7 +345,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             for line in stdin.lock().lines() {
                 let line = line.map_err(|e| format!("reading stdin: {e}"))?;
                 serve(&line, &mut out)?;
-                out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
+                out.flush().map_err(stdout_error("flushing stdout"))?;
             }
         } else {
             let text = if path == "-" {
@@ -369,7 +363,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             }
             std::io::stdout()
                 .write_all(&replies)
-                .map_err(|e| format!("writing replies: {e}"))?;
+                .map_err(stdout_error("writing replies"))?;
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
@@ -412,6 +406,17 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Maps a failed stdout write to an error message, except a closed pipe,
+/// which ends the process as quietly as a failed `print!` does.
+fn stdout_error(context: &'static str) -> impl Fn(std::io::Error) -> String {
+    move |e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(rtsync::experiments::BROKEN_PIPE_EXIT);
+        }
+        format!("{context}: {e}")
+    }
 }
 
 /// Serves one JSONL admission request against the engine and renders the
@@ -1338,109 +1343,116 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::adversary::AdversaryConfig;
+/// The campaigns behind `rtsync study`, each with the flags it takes
+/// beyond the common `--smoke`, `--seed`, `--threads` and `--out`.
+const STUDIES: [(&str, &[&str]); 6] = [
+    (
+        "chaos",
+        &["--runs", "--transport", "--telemetry", "--window"],
+    ),
+    ("transport", &[]),
+    ("sync", &[]),
+    ("adversary", &["--runs"]),
+    ("gray", &["--runs"]),
+    ("admit", &[]),
+];
+
+/// Parsed `rtsync study` flags; each study reads the ones it accepts.
+#[derive(Default)]
+struct StudyArgs {
+    smoke: bool,
+    runs: Option<usize>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    out: Option<String>,
+    transport: bool,
+    telemetry: Option<String>,
+    window: Option<i64>,
+}
+
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = it.next().ok_or(format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn cmd_study(args: &[String]) -> Result<(), String> {
+    let requested = args.first().map_or("", String::as_str);
+    let Some(&(name, extra)) = STUDIES.iter().find(|(name, _)| *name == requested) else {
+        let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown study `{requested}`: expected one of {}",
+            names.join(", ")
+        ));
+    };
+    let mut a = StudyArgs::default();
+    let mut it = args[1..].iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        if !["--smoke", "--seed", "--threads", "--out"].contains(&flag) && !extra.contains(&flag) {
+            return Err(format!("study {name} does not accept `{flag}`"));
+        }
+        match flag {
+            "--smoke" => a.smoke = true,
+            "--transport" => a.transport = true,
+            "--runs" => a.runs = Some(flag_value(&mut it, flag)?),
+            "--seed" => a.seed = Some(flag_value(&mut it, flag)?),
+            "--threads" => a.threads = Some(flag_value::<usize>(&mut it, flag)?.max(1)),
+            "--out" => a.out = Some(flag_value(&mut it, flag)?),
+            "--telemetry" => a.telemetry = Some(flag_value(&mut it, flag)?),
+            _ => a.window = Some(flag_value(&mut it, flag)?),
+        }
+    }
+    match name {
+        "chaos" => study_chaos(&a),
+        "transport" => study_transport(&a),
+        "sync" => study_sync(&a),
+        "adversary" => study_adversary(&a),
+        "gray" => study_gray(&a),
+        _ => study_admit(&a),
+    }
+}
+
+/// Writes each `(file name, contents)` pair under `dir`, creating it, and
+/// reports the paths on stderr. Does nothing without a directory.
+fn write_files(dir: Option<&str>, files: &[(&str, &str)]) -> Result<(), String> {
+    let Some(dir) = dir else {
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+    let mut paths = Vec::new();
+    for (name, contents) in files {
+        let path = format!("{dir}/{name}");
+        std::fs::write(&path, contents).map_err(|e| format!("writing {path}: {e}"))?;
+        paths.push(path);
+    }
+    eprintln!("wrote {}", paths.join(" and "));
+    Ok(())
+}
+
+fn study_chaos(a: &StudyArgs) -> Result<(), String> {
     use rtsync::experiments::chaos::{
         render, repro_bundle, run_chaos, runs_csv, to_csv, worst_case_telemetry, ChaosConfig,
     };
-    let mut runs: Option<usize> = None;
-    let mut smoke = false;
-    let mut adversarial = false;
-    let mut gray = false;
-    let mut transport = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut telemetry_out: Option<String> = None;
-    let mut window: Option<i64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                )
-            }
-            "--smoke" => smoke = true,
-            "--adversarial" => adversarial = true,
-            "--gray" => gray = true,
-            "--transport" => transport = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            "--telemetry" => telemetry_out = Some(grab("--telemetry")?.clone()),
-            "--window" => {
-                window = Some(
-                    grab("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    if window.is_some_and(|w| w <= 0) {
+    if a.window.is_some_and(|w| w <= 0) {
         return Err("--window must be positive".to_string());
     }
-    if adversarial {
-        // Route to the adversarial-time campaign, smoke-sized: chaos is
-        // the exploratory entry point, `adversary-study` runs the full
-        // grid. Transport/telemetry flags apply to crash chaos only.
-        let mut acfg = AdversaryConfig::smoke(runs.unwrap_or(24));
-        if let Some(s) = seed {
-            acfg.seed = s;
-        }
-        if let Some(t) = threads {
-            acfg.threads = t.max(1);
-        }
-        return run_adversary_campaign(&acfg, out_dir.as_deref());
-    }
-    if gray {
-        // Route to the gray-failure campaign, smoke-sized: `gray-study`
-        // runs the full slowdown x stall x link grid.
-        let mut gcfg = rtsync::experiments::gray::GrayStudyConfig::smoke(runs.unwrap_or(16));
-        if let Some(s) = seed {
-            gcfg.seed = s;
-        }
-        if let Some(t) = threads {
-            gcfg.threads = t.max(1);
-        }
-        return run_gray_campaign(&gcfg, out_dir.as_deref());
-    }
-    let mut cfg = if smoke {
-        ChaosConfig::smoke(runs.unwrap_or(25))
+    let mut cfg = if a.smoke {
+        ChaosConfig::smoke()
     } else {
-        let mut cfg = ChaosConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.protocols.len() * cfg.mean_uptimes.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
-        }
-        cfg
+        ChaosConfig::default()
     };
-    cfg.transport = transport;
-    if let Some(s) = seed {
-        cfg.seed = s;
+    if let Some(total) = a.runs {
+        cfg.runs_per_cell = runs_per_cell(total, cfg.cells());
     }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
+    cfg.transport = a.transport;
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
 
     eprintln!(
         "chaos campaign: {} runs ({} protocols x {} crash rates x {} runs/cell), seed {:#x}{}",
@@ -1457,20 +1469,16 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     );
     let outcome = run_chaos(&cfg);
     print!("{}", render(&outcome));
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("chaos_summary.csv", &to_csv(&outcome)),
+            ("chaos_runs.csv", &runs_csv(&outcome)),
+        ],
+    )?;
 
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let summary = format!("{dir}/chaos_summary.csv");
-        std::fs::write(&summary, to_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        let per_run = format!("{dir}/chaos_runs.csv");
-        std::fs::write(&per_run, runs_csv(&outcome))
-            .map_err(|e| format!("writing {per_run}: {e}"))?;
-        eprintln!("wrote {summary} and {per_run}");
-    }
-
-    if let Some(path) = &telemetry_out {
-        match worst_case_telemetry(&cfg, &outcome, window.map(Dur::from_ticks)) {
+    if let Some(path) = &a.telemetry {
+        match worst_case_telemetry(&cfg, &outcome, a.window.map(Dur::from_ticks)) {
             Some((v, report)) => {
                 std::fs::write(path, report.to_csv())
                     .map_err(|e| format!("writing {path}: {e}"))?;
@@ -1493,18 +1501,20 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
 
     if !outcome.is_clean() {
-        let dir = out_dir.unwrap_or_else(|| ".".to_string());
-        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {dir}: {e}"))?;
+        let dir = a.out.clone().unwrap_or_else(|| ".".to_string());
         for (i, failure) in outcome.failures.iter().enumerate() {
             let bundle = repro_bundle(&cfg, failure);
-            for (ext, body) in [
-                ("txt", &bundle.summary),
-                ("jsonl", &bundle.jsonl),
-                ("perfetto.json", &bundle.perfetto_json),
-            ] {
-                let path = format!("{dir}/chaos_repro_{i}.{ext}");
-                std::fs::write(&path, body).map_err(|e| format!("writing {path}: {e}"))?;
-            }
+            write_files(
+                Some(&dir),
+                &[
+                    (&format!("chaos_repro_{i}.txt"), &bundle.summary),
+                    (&format!("chaos_repro_{i}.jsonl"), &bundle.jsonl),
+                    (
+                        &format!("chaos_repro_{i}.perfetto.json"),
+                        &bundle.perfetto_json,
+                    ),
+                ],
+            )?;
             eprint!("{}", bundle.summary);
         }
         return Err(format!(
@@ -1516,72 +1526,85 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_adversary_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::adversary::AdversaryConfig;
-    let mut smoke = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        AdversaryConfig::smoke(runs.unwrap_or(24))
-    } else {
-        let mut cfg = AdversaryConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.liar_counts.len() * cfg.partition_spans.len() * cfg.asym_biases.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
-        }
-        cfg
+fn study_transport(a: &StudyArgs) -> Result<(), String> {
+    use rtsync::experiments::transport::{
+        grid_csv, render, run_transport_study, summary_csv, TransportStudyConfig,
     };
-    if let Some(s) = seed {
-        cfg.seed = s;
+    let mut cfg = if a.smoke {
+        TransportStudyConfig::smoke()
+    } else {
+        TransportStudyConfig::default()
+    };
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+
+    eprintln!(
+        "transport study: {} grid runs + {} detector runs, seed {:#x}",
+        cfg.total_grid_runs(),
+        cfg.protocols.len() * cfg.detector_runs,
+        cfg.seed
+    );
+    let outcome = run_transport_study(&cfg);
+    print!("{}", render(&outcome));
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("transport_grid.csv", &grid_csv(&outcome)),
+            ("transport_summary.csv", &summary_csv(&outcome)),
+        ],
+    )?;
+    if !outcome.is_clean() {
+        return Err(
+            "transport study saw abandoned frames, lost signals, or stalled runs".to_string(),
+        );
     }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-    run_adversary_campaign(&cfg, out_dir.as_deref())
+    Ok(())
 }
 
-/// Shared driver of `adversary-study` and `chaos --adversarial`: run
-/// the grid, render it, optionally persist the CSVs, and fail the
-/// process if any armed invariant broke.
-fn run_adversary_campaign(
-    cfg: &rtsync::experiments::adversary::AdversaryConfig,
-    out_dir: Option<&str>,
-) -> Result<(), String> {
-    use rtsync::experiments::adversary::{grid_csv, render, run_adversary, summary_csv};
+fn study_sync(a: &StudyArgs) -> Result<(), String> {
+    use rtsync::experiments::sync::{
+        grid_csv, render, run_sync_study, summary_csv, SyncStudyConfig,
+    };
+    let mut cfg = if a.smoke {
+        SyncStudyConfig::smoke()
+    } else {
+        SyncStudyConfig::default()
+    };
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+
+    eprintln!(
+        "sync study: {} runs over {} drift x latency cells, seed {:#x}",
+        cfg.total_runs(),
+        cfg.drift_ppm_values.len() * cfg.latency_values.len(),
+        cfg.seed
+    );
+    let outcome = run_sync_study(&cfg);
+    print!("{}", render(&outcome));
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("sync_grid.csv", &grid_csv(&outcome)),
+            ("sync_summary.csv", &summary_csv(&outcome)),
+        ],
+    )
+}
+
+fn study_adversary(a: &StudyArgs) -> Result<(), String> {
+    use rtsync::experiments::adversary::{
+        grid_csv, render, run_adversary, summary_csv, AdversaryConfig,
+    };
+    let mut cfg = if a.smoke {
+        AdversaryConfig::smoke()
+    } else {
+        AdversaryConfig::default()
+    };
+    if let Some(total) = a.runs {
+        cfg.runs_per_cell = runs_per_cell(total, cfg.cells());
+    }
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+
     eprintln!(
         "adversary campaign: {} runs ({} liar levels x {} partition spans x \
          {} asymmetry biases x {} runs/cell), seed {:#x}",
@@ -1592,17 +1615,15 @@ fn run_adversary_campaign(
         cfg.runs_per_cell,
         cfg.seed
     );
-    let outcome = run_adversary(cfg);
+    let outcome = run_adversary(&cfg);
     print!("{}", render(&outcome));
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/adversary_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/adversary_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("adversary_grid.csv", &grid_csv(&outcome)),
+            ("adversary_summary.csv", &summary_csv(&outcome)),
+        ],
+    )?;
     if !outcome.is_clean() {
         return Err(format!(
             "{} of {} adversarial runs violated an armed invariant or stalled",
@@ -1613,72 +1634,19 @@ fn run_adversary_campaign(
     Ok(())
 }
 
-fn cmd_gray_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::gray::GrayStudyConfig;
-    let mut smoke = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" => {
-                runs = Some(
-                    grab("--runs")?
-                        .parse()
-                        .map_err(|e| format!("--runs: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        GrayStudyConfig::smoke(runs.unwrap_or(16))
+fn study_gray(a: &StudyArgs) -> Result<(), String> {
+    use rtsync::experiments::gray::{grid_csv, render, run_gray, summary_csv, GrayStudyConfig};
+    let mut cfg = if a.smoke {
+        GrayStudyConfig::smoke()
     } else {
-        let mut cfg = GrayStudyConfig::default();
-        if let Some(total) = runs {
-            let cells = cfg.slow_factors.len() * cfg.stall_spans.len() * cfg.link_drops.len();
-            cfg.runs_per_cell = total.div_ceil(cells).max(1);
-        }
-        cfg
+        GrayStudyConfig::default()
     };
-    if let Some(s) = seed {
-        cfg.seed = s;
+    if let Some(total) = a.runs {
+        cfg.runs_per_cell = runs_per_cell(total, cfg.cells());
     }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-    run_gray_campaign(&cfg, out_dir.as_deref())
-}
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
 
-/// Shared driver of `gray-study` and `chaos --gray`: run the grid,
-/// render it, optionally persist the CSVs, and fail the process if any
-/// clock-independent safety invariant broke.
-fn run_gray_campaign(
-    cfg: &rtsync::experiments::gray::GrayStudyConfig,
-    out_dir: Option<&str>,
-) -> Result<(), String> {
-    use rtsync::experiments::gray::{grid_csv, render, run_gray, summary_csv};
     eprintln!(
         "gray campaign: {} runs ({} slow factors x {} stall spans x \
          {} link drops x {} runs/cell), seed {:#x}",
@@ -1689,17 +1657,15 @@ fn run_gray_campaign(
         cfg.runs_per_cell,
         cfg.seed
     );
-    let outcome = run_gray(cfg);
+    let outcome = run_gray(&cfg);
     print!("{}", render(&outcome));
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/gray_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/gray_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("gray_grid.csv", &grid_csv(&outcome)),
+            ("gray_summary.csv", &summary_csv(&outcome)),
+        ],
+    )?;
     if !outcome.is_clean() {
         return Err(format!(
             "{} of {} gray runs violated a clock-independent safety invariant",
@@ -1717,50 +1683,17 @@ fn run_gray_campaign(
     Ok(())
 }
 
-fn cmd_admit_study(args: &[String]) -> Result<(), String> {
+fn study_admit(a: &StudyArgs) -> Result<(), String> {
     use rtsync::experiments::admit::{
         grid_csv, render, run_admit_study, summary_csv, AdmitStudyConfig,
     };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
+    let mut cfg = if a.smoke {
         AdmitStudyConfig::smoke()
     } else {
         AdmitStudyConfig::default()
     };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
+    cfg.seed = a.seed.unwrap_or(cfg.seed);
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
 
     eprintln!(
         "admission study: {} runs over {} shape x mode cells, seed {:#x}",
@@ -1770,17 +1703,13 @@ fn cmd_admit_study(args: &[String]) -> Result<(), String> {
     );
     let outcome = run_admit_study(&cfg);
     print!("{}", render(&outcome));
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/admit_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/admit_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
-
+    write_files(
+        a.out.as_deref(),
+        &[
+            ("admit_grid.csv", &grid_csv(&outcome)),
+            ("admit_summary.csv", &summary_csv(&outcome)),
+        ],
+    )?;
     if !outcome.is_clean() {
         return Err(
             "memoized and from-scratch admission verdicts disagreed on some operation".to_string(),
@@ -1898,144 +1827,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 cmp.regressions().count()
             ));
         }
-    }
-    Ok(())
-}
-
-fn cmd_transport_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::transport::{
-        grid_csv, render, run_transport_study, summary_csv, TransportStudyConfig,
-    };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        TransportStudyConfig::smoke()
-    } else {
-        TransportStudyConfig::default()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "transport study: {} grid runs + {} detector runs, seed {:#x}",
-        cfg.total_grid_runs(),
-        cfg.protocols.len() * cfg.detector_runs,
-        cfg.seed
-    );
-    let outcome = run_transport_study(&cfg);
-    print!("{}", render(&outcome));
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/transport_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/transport_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
-    }
-
-    if !outcome.is_clean() {
-        return Err(
-            "transport study saw abandoned frames, lost signals, or stalled runs".to_string(),
-        );
-    }
-    Ok(())
-}
-
-fn cmd_sync_study(args: &[String]) -> Result<(), String> {
-    use rtsync::experiments::sync::{
-        grid_csv, render, run_sync_study, summary_csv, SyncStudyConfig,
-    };
-    let mut smoke = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                seed = Some(
-                    grab("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    grab("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--out" => out_dir = Some(grab("--out")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let mut cfg = if smoke {
-        SyncStudyConfig::smoke()
-    } else {
-        SyncStudyConfig::default()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t.max(1);
-    }
-
-    eprintln!(
-        "sync study: {} runs over {} drift x latency cells, seed {:#x}",
-        cfg.total_runs(),
-        cfg.drift_ppm_values.len() * cfg.latency_values.len(),
-        cfg.seed
-    );
-    let outcome = run_sync_study(&cfg);
-    print!("{}", render(&outcome));
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let grid = format!("{dir}/sync_grid.csv");
-        std::fs::write(&grid, grid_csv(&outcome)).map_err(|e| format!("writing {grid}: {e}"))?;
-        let summary = format!("{dir}/sync_summary.csv");
-        std::fs::write(&summary, summary_csv(&outcome))
-            .map_err(|e| format!("writing {summary}: {e}"))?;
-        eprintln!("wrote {grid} and {summary}");
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `rtsync` CLI binary: real process invocations
 //! over the text format, checking exit codes and output.
 
+use std::io::Read as _;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn rtsync() -> Command {
     // Integration tests run from the workspace root; cargo puts the binary
@@ -219,6 +220,7 @@ fn chaos_smoke_runs_clean_and_writes_csvs() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let out = run(&[
+        "study",
         "chaos",
         "--smoke",
         "--runs",
@@ -269,6 +271,70 @@ fn sporadic_and_no_rule2_flags_accepted() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("RG protocol:"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_study_fails_and_lists_the_studies() {
+    let out = run(&["study", "bogus"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    for name in ["chaos", "transport", "sync", "adversary", "gray", "admit"] {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
+}
+
+#[test]
+fn study_rejects_flags_it_does_not_take() {
+    for (study, flag) in [
+        ("sync", "--runs"),
+        ("admit", "--transport"),
+        ("gray", "--telemetry"),
+    ] {
+        let out = run(&["study", study, flag, "5"]);
+        assert!(!out.status.success(), "{study} {flag}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("study {study} does not accept `{flag}`")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ex2.rts");
+    std::fs::write(&file, stdout(&run(&["example", "2"]))).unwrap();
+
+    // Far more than a pipe buffer (64 KiB) of JSONL, so the writer is
+    // still mid-output when the reader goes away, as under `| head`.
+    let mut child = rtsync()
+        .args([
+            "trace",
+            file.to_str().unwrap(),
+            "--protocol",
+            "rg",
+            "--instances",
+            "300",
+            "--format",
+            "jsonl",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut reader = child.stdout.take().unwrap();
+    let mut head = [0u8; 1024];
+    reader.read_exact(&mut head).unwrap();
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!err.contains("Broken pipe"), "{err}");
+    assert_eq!(out.status.code(), Some(141), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
