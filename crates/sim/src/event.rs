@@ -7,19 +7,28 @@
 //! and timer/guard firings precede fresh releases. The insertion sequence
 //! makes every run bit-for-bit reproducible.
 //!
-//! # Two-tier structure
+//! # One heap on a packed key
 //!
-//! [`EventQueue`] is a *timer wheel with a heap overflow*, not a plain
-//! binary heap. Simulation traffic is overwhelmingly near-future (the next
-//! completion, the next signal hop, the next timer), so events within
-//! `WHEEL_SPAN` ticks of the queue's cursor go into a bucketed wheel —
-//! one bucket per tick, O(1) insert, amortized-O(1) extraction (the cursor
-//! sweeps each bucket once per wrap, guided by an occupancy bitmap).
-//! Events farther out land in a conventional binary heap and migrate into
-//! the wheel as the cursor approaches them. The pop order is *exactly* the
-//! `(time, rank, seq)` total order of the original heap-only queue —
-//! [`ReferenceEventQueue`] keeps that implementation alive as the ordering
-//! oracle for differential tests.
+//! [`EventQueue`] is one binary min-heap. Each event's whole position in
+//! the total order is packed into a single `u128` when it is pushed:
+//!
+//! ```text
+//! key = (ticks as u64 ^ 1 << 63) << 64 | rank << 56 | seq
+//! ```
+//!
+//! Flipping the sign bit maps `i64` ticks onto `u64` in order, so negative
+//! times still sort first. The rank takes the next 8 bits and the sequence
+//! the low 56. Every sift step is then one integer compare instead of a
+//! rank lookup on both sides.
+//!
+//! The queue used to be a 32 768-bucket timing wheel in front of an
+//! overflow heap. Its O(1) inserts only paid on long heartbeat-dense runs,
+//! while every run paid to allocate, sweep and drop the bucket array and
+//! its occupancy bitmap. The paper's evaluation is thousands of short,
+//! sparse runs, so the heap is faster on both kinds of workload (DESIGN.md
+//! §11 has the measurements). [`ReferenceEventQueue`] keeps the plain
+//! heap that compares `(time, rank, seq)` field by field, as the oracle
+//! that differential tests check the packing against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -377,46 +386,57 @@ impl PartialOrd for Event {
     }
 }
 
-/// Width of the near-future wheel in ticks. Must be a multiple of 64
-/// (the occupancy bitmap is scanned a word at a time). At the default
-/// 1000 ticks per paper time unit this covers ≈33 units — every
-/// completion/signal/timer delta of the evaluation workloads, and most
-/// source periods.
-const WHEEL_SPAN: usize = 32_768;
-const WHEEL_WORDS: usize = WHEEL_SPAN / 64;
+/// Bits of the packed key below the rank: the insertion sequence.
+const SEQ_BITS: u32 = 56;
 
-/// A deterministic min-queue of [`Event`]s (see the module docs for the
-/// two-tier wheel + overflow-heap structure).
-#[derive(Debug)]
-pub struct EventQueue {
-    /// One bucket per tick in `[cursor, cursor + WHEEL_SPAN)`, indexed by
-    /// `time mod WHEEL_SPAN`. Within the window each bucket holds events
-    /// of exactly one instant; ties resolve by `(rank, seq)` at pop time.
-    buckets: Vec<Vec<Event>>,
-    /// One bit per bucket: non-empty buckets, for fast cursor sweeps.
-    occupied: Vec<u64>,
-    /// The earliest tick the wheel can still hold (nothing pending is
-    /// earlier, except transiently inside `push`, which re-anchors).
-    cursor: i64,
-    /// Events in the wheel.
-    near_len: usize,
-    /// Events at `time >= cursor + WHEEL_SPAN`, migrated into the wheel
-    /// as the cursor approaches them.
-    far: BinaryHeap<Event>,
-    next_seq: u64,
+/// Packs `(time, rank, seq)` into one integer with the same order (see the
+/// module docs).
+fn pack(time: Time, rank: u8, seq: u64) -> u128 {
+    // 2^56 pushes is over two years of pushes at 10^9 per second: no run
+    // gets near it, and a wrap would only reorder same-instant, same-rank
+    // events.
+    debug_assert!(seq < 1 << SEQ_BITS, "event sequence overflowed its 56 bits");
+    let ticks = (time.ticks() as u64 ^ 1 << 63) as u128;
+    ticks << 64 | (rank as u128) << SEQ_BITS | seq as u128
 }
 
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue {
-            buckets: vec![Vec::new(); WHEEL_SPAN],
-            occupied: vec![0; WHEEL_WORDS],
-            cursor: 0,
-            near_len: 0,
-            far: BinaryHeap::new(),
-            next_seq: 0,
-        }
+/// A heap entry ordered by its packed key alone; keys are unique because
+/// sequences are. (A `(Reverse(key), Event)` tuple would carry `Event`'s
+/// field-by-field compare on its tie path and ran ~10% slower on
+/// `perfbench`'s `fault_campaign`.)
+#[derive(Debug)]
+struct Entry {
+    key: u128,
+    event: Event,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.key == other.key
     }
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Entry) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the smallest key wins.
+        other.key.cmp(&self.key)
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Entry) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A deterministic min-queue of [`Event`]s: one binary heap on packed
+/// `(time, rank, seq)` keys (see the module docs).
+#[derive(Default, Debug)]
+pub struct EventQueue {
+    heap: BinaryHeap<Entry>,
+    next_seq: u64,
 }
 
 impl EventQueue {
@@ -429,168 +449,38 @@ impl EventQueue {
     pub fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = Event { time, kind, seq };
-        let t = time.ticks();
-        if self.is_empty() {
-            // Re-anchor an empty wheel at the incoming event: seed events
-            // arrive in arbitrary time order before the first pop.
-            self.cursor = t;
-        } else if t < self.cursor {
-            // An event behind the cursor (possible only before the first
-            // pop, or under out-of-order use the engine never exhibits):
-            // rebuild the wheel anchored at the new minimum. O(pending),
-            // but off the steady-state path — the engine only schedules
-            // at or after the instant it is processing.
-            self.rebuild_at(t);
-        }
-        if (t as i128) < self.cursor as i128 + WHEEL_SPAN as i128 {
-            self.insert_near(event);
-        } else {
-            self.far.push(event);
-        }
+        let key = pack(time, kind.rank(), seq);
+        self.heap.push(Entry {
+            key,
+            event: Event { time, kind, seq },
+        });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.is_empty() {
-            return None;
-        }
-        if self.near_len == 0 {
-            // The window is dry: jump the cursor straight to the overflow
-            // heap's minimum (no empty-bucket crawl) and pull its window.
-            self.cursor = self.far.peek().expect("non-empty queue").time.ticks();
-            self.refill();
-        }
-        let (slot, t) = self.next_occupied();
-        self.cursor = t;
-        let bucket = &mut self.buckets[slot];
-        // Same-instant ties: the bucket is one instant's worth of events,
-        // so the minimum by (rank, seq) is the global minimum. Buckets are
-        // small (one instant), so a linear scan beats heap bookkeeping.
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            debug_assert_eq!(bucket[i].time, bucket[best].time, "mixed-time bucket");
-            let (r, s) = (bucket[i].kind.rank(), bucket[i].seq);
-            if (r, s) < (bucket[best].kind.rank(), bucket[best].seq) {
-                best = i;
-            }
-        }
-        let event = bucket.swap_remove(best);
-        if bucket.is_empty() {
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        }
-        self.near_len -= 1;
-        // The window slid forward with the cursor: migrate overflow events
-        // that now fall inside it, so near and far never hold the same
-        // instant simultaneously.
-        self.refill();
-        Some(event)
+        self.heap.pop().map(|e| e.event)
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.is_empty() {
-            return None;
-        }
-        if self.near_len == 0 {
-            return self.far.peek().map(|e| e.time);
-        }
-        let (_, t) = self.next_occupied();
-        Some(Time::from_ticks(t))
+        self.heap.peek().map(|e| e.event.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.near_len == 0 && self.far.is_empty()
-    }
-
-    /// Events currently parked in the near wheel (within `WHEEL_SPAN`
-    /// ticks of the anchor). The telemetry layer's occupancy gauge.
-    pub fn near_depth(&self) -> usize {
-        self.near_len
-    }
-
-    /// Events parked in the far-future overflow heap (beyond the wheel's
-    /// span). A persistently deep far heap means event times outrun the
-    /// wheel and every refill pays heap churn.
-    pub fn far_depth(&self) -> usize {
-        self.far.len()
-    }
-
-    fn insert_near(&mut self, event: Event) {
-        let slot = event.time.ticks().rem_euclid(WHEEL_SPAN as i64) as usize;
-        debug_assert!(
-            self.buckets[slot].is_empty() || self.buckets[slot][0].time == event.time,
-            "bucket collision across window generations"
-        );
-        self.buckets[slot].push(event);
-        self.occupied[slot / 64] |= 1u64 << (slot % 64);
-        self.near_len += 1;
-    }
-
-    /// Migrates every overflow event now inside the window into the wheel.
-    fn refill(&mut self) {
-        let limit = self.cursor as i128 + WHEEL_SPAN as i128;
-        while self
-            .far
-            .peek()
-            .is_some_and(|e| (e.time.ticks() as i128) < limit)
-        {
-            let event = self.far.pop().expect("peeked event present");
-            self.insert_near(event);
-        }
-    }
-
-    /// Drains the wheel into the overflow heap and re-anchors the cursor
-    /// at `new_cursor` (a backwards push — see `push`).
-    fn rebuild_at(&mut self, new_cursor: i64) {
-        if self.near_len > 0 {
-            for slot in 0..WHEEL_SPAN {
-                self.far.append(&mut BinaryHeap::from(std::mem::take(
-                    &mut self.buckets[slot],
-                )));
-            }
-            self.occupied.fill(0);
-            self.near_len = 0;
-        }
-        self.cursor = new_cursor;
-        self.refill();
-    }
-
-    /// The first non-empty bucket at or after the cursor, as
-    /// `(slot, time)`. Amortized O(1): each bucket is crossed once per
-    /// window wrap, 64 at a time through the occupancy bitmap.
-    ///
-    /// Requires `near_len > 0`.
-    fn next_occupied(&self) -> (usize, i64) {
-        debug_assert!(self.near_len > 0, "scan of an empty wheel");
-        let mut slot = self.cursor.rem_euclid(WHEEL_SPAN as i64) as usize;
-        let mut travelled = 0usize;
-        loop {
-            let mask = self.occupied[slot / 64] >> (slot % 64);
-            if mask != 0 {
-                let ahead = mask.trailing_zeros() as usize;
-                return (slot + ahead, self.cursor + (travelled + ahead) as i64);
-            }
-            let step = 64 - slot % 64;
-            travelled += step;
-            slot += step;
-            if slot == WHEEL_SPAN {
-                slot = 0;
-            }
-            debug_assert!(travelled <= WHEEL_SPAN, "wheel scan wrapped twice");
-        }
+        self.heap.is_empty()
     }
 }
 
-/// The original heap-only event queue, retained verbatim as the ordering
-/// oracle for differential tests of [`EventQueue`] (same push/pop API,
-/// same `(time, rank, seq)` contract, trivially-correct implementation).
+/// The ordering oracle for differential tests of [`EventQueue`]: the same
+/// push/pop API on a plain heap of [`Event`]s, ordered by comparing
+/// `(time, rank, seq)` field by field. It shares no code with the packed
+/// key, so the tests check the packing instead of reusing it.
 #[derive(Default, Debug)]
 pub struct ReferenceEventQueue {
     heap: BinaryHeap<Event>,
@@ -896,11 +786,64 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Width of the timing wheel this queue replaced. The tests below
+    /// pinned its overflow and re-anchoring paths and now pin plain order
+    /// at the same distances.
+    const SPAN: i64 = 32_768;
+
+    #[test]
+    fn packed_key_orders_at_the_boundaries() {
+        let at = |ticks: i64, rank: u8, seq: u64| pack(t(ticks), rank, seq);
+        let max_seq = (1 << SEQ_BITS) - 1;
+        // Times decide first, across the sign and at both ends of `i64`.
+        assert!(at(i64::MIN, 26, max_seq) < at(i64::MIN + 1, 0, 0));
+        assert!(at(-1, 26, max_seq) < at(0, 0, 0));
+        assert!(at(i64::MAX - 1, 26, max_seq) < at(i64::MAX, 0, 0));
+        // Then the rank, whatever the sequences.
+        assert!(at(5, 0, max_seq) < at(5, 26, 0));
+        // Then the insertion sequence within one rank.
+        assert!(at(5, 13, 6) < at(5, 13, 7));
+        assert!(at(5, 13, max_seq - 1) < at(5, 13, max_seq));
+
+        let crash = EventKind::Crash {
+            proc: ProcessorId::new(0),
+        };
+        let retry = EventKind::SyncRetry {
+            from: ProcessorId::new(0),
+            to: ProcessorId::new(1),
+            t1: t(0),
+            respond: true,
+            attempt: 1,
+        };
+        let mut q = EventQueue::new();
+        for ticks in [0, i64::MAX, -1, i64::MIN + 1, i64::MIN] {
+            q.push(t(ticks), retry);
+            q.push(t(ticks), crash);
+        }
+        let order: Vec<(i64, u8)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.ticks(), e.kind.rank()))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (i64::MIN, 0),
+                (i64::MIN, 26),
+                (i64::MIN + 1, 0),
+                (i64::MIN + 1, 26),
+                (-1, 0),
+                (-1, 26),
+                (0, 0),
+                (0, 26),
+                (i64::MAX, 0),
+                (i64::MAX, 26),
+            ]
+        );
+    }
+
     #[test]
     fn far_future_events_overflow_and_come_back() {
-        // Events past the wheel window live in the overflow heap and
-        // migrate back as the cursor approaches; order is unaffected.
-        let span = WHEEL_SPAN as i64;
+        // Events many wheel spans apart, pushed out of order.
+        let span = SPAN;
         let mut q = EventQueue::new();
         q.push(t(3 * span + 7), source(0, 0));
         q.push(t(5), source(1, 0));
@@ -914,18 +857,18 @@ mod tests {
 
     #[test]
     fn same_instant_ranks_hold_across_the_overflow_boundary() {
-        // Two same-instant events, one landing via the overflow heap, one
-        // pushed directly once the window reaches the instant: rank and
-        // insertion order still decide.
-        let span = WHEEL_SPAN as i64;
+        // Two same-instant events far ahead, the second pushed after a pop
+        // has moved the queue forward: rank and insertion order still
+        // decide.
+        let span = SPAN;
         let far = 2 * span;
         let mut q = EventQueue::new();
-        q.push(t(far), source(0, 0)); // overflow (rank 7, seq 0)
-        q.push(t(0), source(9, 9)); // anchors the window at 0
+        q.push(t(far), source(0, 0)); // rank 15, seq 0
+        q.push(t(0), source(9, 9));
         let first = q.pop().unwrap();
         assert_eq!(first.time, t(0));
-        // The window now covers `far` eventually; push a same-instant
-        // completion (rank 2) after the source release was already queued.
+        // Push a same-instant completion after the source release was
+        // already queued.
         q.push(t(far), completion(0, 0));
         let second = q.pop().unwrap();
         assert!(matches!(second.kind, EventKind::Completion { .. }));
@@ -937,12 +880,12 @@ mod tests {
     #[test]
     fn seed_pushes_behind_the_anchor_rebuild_the_wheel() {
         // Before the first pop the engine seeds events in arbitrary time
-        // order; a push earlier than the current anchor must re-anchor.
+        // order, including pushes earlier than everything queued so far.
         let mut q = EventQueue::new();
         q.push(t(100), source(0, 0));
-        q.push(t(5), source(1, 0)); // behind the anchor at 100
-        q.push(t(WHEEL_SPAN as i64 * 2), source(2, 0));
-        q.push(t(0), source(3, 0)); // behind again
+        q.push(t(5), source(1, 0));
+        q.push(t(SPAN * 2), source(2, 0));
+        q.push(t(0), source(3, 0));
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::SourceRelease { task, .. } => task.index(),
@@ -955,7 +898,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_at_the_current_instant() {
         // The engine pushes same-instant follow-ups (e.g. SignalSend at
-        // `now`) between pops; they must slot into the current bucket.
+        // `now`) between pops; they must slot in by rank.
         let mut q = EventQueue::new();
         q.push(t(4), completion(0, 0));
         q.push(t(4), source(0, 0));
@@ -967,7 +910,7 @@ mod tests {
                 job: JobId::new(SubtaskId::new(TaskId::new(0), 1), 0),
             },
         );
-        // SignalSend (rank 4) precedes the SourceRelease (rank 7).
+        // SignalSend (rank 12) precedes the SourceRelease (rank 15).
         assert!(matches!(
             q.pop().unwrap().kind,
             EventKind::SignalSend { .. }
@@ -981,7 +924,7 @@ mod tests {
 
     #[test]
     fn reference_queue_matches_on_a_mixed_load() {
-        let span = WHEEL_SPAN as i64;
+        let span = SPAN;
         let mut q = EventQueue::new();
         let mut r = ReferenceEventQueue::new();
         let loads = [

@@ -63,10 +63,8 @@ pub struct EngineSample<'a> {
     /// The processors, for per-processor ready-queue backlog
     /// ([`Processor::backlog`]) and idle state.
     pub procs: &'a [Processor],
-    /// Events parked in the event queue's near wheel.
-    pub queue_near: usize,
-    /// Events parked in the far-future overflow heap.
-    pub queue_far: usize,
+    /// Events pending in the event queue.
+    pub queue_depth: usize,
     /// Unacked frames across all transport sender windows (0 when the
     /// endpoint transport is off).
     pub transport_in_flight: usize,
@@ -133,7 +131,7 @@ pub trait Observer {
         false
     }
 
-    /// End-of-instant state snapshot: queue depths, per-processor ready
+    /// End-of-instant state snapshot: queue depth, per-processor ready
     /// backlogs, transport window, detector census. Emitted after the
     /// dispatch flush of each distinct instant, and only when
     /// [`Observer::wants_samples`] returns `true`. The sample is

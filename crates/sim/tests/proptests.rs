@@ -213,47 +213,96 @@ proptest! {
         }
     }
 
-    /// Differential oracle: the two-tier wheel queue pops the exact same
-    /// `(time, kind)` sequence as [`ReferenceEventQueue`] — the plain
-    /// binary-heap implementation it replaced — under random push/pop
-    /// interleavings. The time mapping deliberately stacks three regimes:
-    /// dense same-instant ties (exercising kind-rank and insertion-order
-    /// arbitration, including the adjacent AckDeliver/RetransmitTimer
-    /// ranks), times straddling the wheel horizon (near/far migration),
-    /// and scattered far-future times (overflow-heap refills).
+    /// Differential oracle: the packed-key heap pops the exact same
+    /// `(time, kind)` sequence as [`ReferenceEventQueue`], the plain heap
+    /// that compares `(time, rank, seq)` field by field, under random
+    /// push/pop interleavings over kinds of all 27 ranks. The time mapping
+    /// deliberately stacks four regimes: dense same-instant ties
+    /// (exercising kind-rank and insertion-order arbitration, including
+    /// the adjacent AckDeliver/RetransmitTimer ranks), times straddling the
+    /// former timing wheel's horizon, scattered far-future times, and the
+    /// extremes: negative ticks and times within 2^20 of both ends of
+    /// `i64`, where the key's sign flip and top bits act.
     #[test]
-    fn wheel_queue_matches_the_reference_heap(
+    fn event_queue_matches_the_reference_heap(
         ops in prop::collection::vec(
-            (prop::bool::ANY, 0i64..200_000, 0u8..4), 1..200),
+            (prop::bool::ANY, 0i64..200_000, 0u8..28), 1..200),
     ) {
+        let p = ProcessorId::new;
+        let sub = SubtaskId::new(TaskId::new(0), 1);
+        let job = JobId::new(sub, 0);
         let kind_of = |sel: u8, i: usize| match sel {
-            0 => EventKind::Completion { proc: ProcessorId::new(0), gen: i as u64 },
-            1 => EventKind::SourceRelease { task: TaskId::new(i), instance: 0 },
+            0 => EventKind::Crash { proc: p(0) },
+            1 => EventKind::Recover { proc: p(0) },
+            2 => EventKind::PartitionStart { idx: 0 },
+            3 => EventKind::PartitionHeal { idx: 0 },
+            4 => EventKind::SlowStart { proc: p(0), idx: 0 },
+            5 => EventKind::SlowEnd { proc: p(0) },
+            6 => EventKind::StallStart { proc: p(0) },
+            7 => EventKind::StallEnd { proc: p(0) },
+            8 => EventKind::LinkDegradeStart { idx: 0 },
+            9 => EventKind::LinkDegradeEnd { idx: 0 },
+            10 => EventKind::Completion { proc: p(0), gen: i as u64 },
+            11 => EventKind::MpmTimer { job },
+            12 => EventKind::SignalSend { job },
+            13 => EventKind::SignalDeliver { job },
+            14 => EventKind::TransportDeliver { job, seq: 7 },
+            15 => EventKind::GuardExpiry { subtask: sub, gen: 0 },
+            16 => EventKind::SourceRelease { task: TaskId::new(i), instance: 0 },
+            17 => EventKind::TimedRelease { subtask: sub, instance: 0 },
             // Fixed seqs so same-instant ack/retransmit pairs differ only
             // by kind rank and insertion order.
-            2 => EventKind::AckDeliver { seq: 7 },
-            _ => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
+            18 => EventKind::AckDeliver { seq: 7 },
+            19 => EventKind::RetransmitTimer { seq: 7, attempt: 1 },
+            20 => EventKind::HeartbeatSend { proc: p(0) },
+            21 => EventKind::HeartbeatDeliver { from: p(1), to: p(0) },
+            22 => EventKind::SuspectTimer { observer: p(0), subject: p(1), gen: 0 },
+            23 => EventKind::DegradedRelease { subtask: sub, instance: 0 },
+            24 => EventKind::SyncRound { proc: p(0) },
+            25 => EventKind::SyncRequest { from: p(0), to: p(1), t1: Time::ZERO },
+            26 => EventKind::SyncResponse {
+                from: p(1),
+                to: p(0),
+                t1: Time::ZERO,
+                t2: Time::ZERO,
+                disp: None,
+            },
+            _ => EventKind::SyncRetry {
+                from: p(0),
+                to: p(1),
+                t1: Time::ZERO,
+                respond: false,
+                attempt: 1,
+            },
         };
-        let mut wheel = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut reference = ReferenceEventQueue::new();
         for (i, &(is_pop, raw_t, sel)) in ops.iter().enumerate() {
             if is_pop {
-                let got = wheel.pop().map(|e| (e.time, e.kind));
+                let got = queue.pop().map(|e| (e.time, e.kind));
                 let want = reference.pop().map(|e| (e.time, e.kind));
                 prop_assert_eq!(got, want, "diverged at op {}", i);
             } else {
-                let t = Time::from_ticks(match raw_t % 10 {
+                let near = (raw_t / 14) % 16;
+                let spread = raw_t * 5 % (1 << 20);
+                let t = Time::from_ticks(match raw_t % 14 {
                     0..=5 => raw_t % 16,             // dense ties
-                    6 | 7 => 32_700 + raw_t % 140,   // wheel-horizon straddle
-                    _ => raw_t,                      // far future
+                    6 | 7 => 32_700 + raw_t % 140,   // old wheel-horizon straddle
+                    8 | 9 => raw_t,                  // far future
+                    10 => -1 - near,                 // negative, with ties
+                    11 => i64::MIN + near,           // bottom of i64, with ties
+                    12 => i64::MAX - near,           // top of i64, with ties
+                    // Scattered within 2^20 of either end of i64.
+                    _ if raw_t % 28 == 13 => i64::MIN + spread,
+                    _ => i64::MAX - spread,
                 });
-                wheel.push(t, kind_of(sel, i));
+                queue.push(t, kind_of(sel, i));
                 reference.push(t, kind_of(sel, i));
             }
         }
-        prop_assert_eq!(wheel.len(), reference.len());
+        prop_assert_eq!(queue.len(), reference.len());
         loop {
-            let got = wheel.pop().map(|e| (e.time, e.kind));
+            let got = queue.pop().map(|e| (e.time, e.kind));
             let want = reference.pop().map(|e| (e.time, e.kind));
             prop_assert_eq!(got, want, "diverged during the final drain");
             if got.is_none() {

@@ -357,13 +357,14 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
             } else {
                 std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
             };
+            // Replies to the requests before a bad one still go out, as
+            // they do when streaming.
             let mut replies = Vec::with_capacity(text.len());
-            for line in text.lines() {
-                serve(line, &mut replies)?;
-            }
+            let served_all = text.lines().try_for_each(|line| serve(line, &mut replies));
             std::io::stdout()
                 .write_all(&replies)
                 .map_err(stdout_error("writing replies"))?;
+            served_all?;
         }
     }
     let elapsed = started.elapsed().as_secs_f64();

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `rtsync` CLI binary: real process invocations
 //! over the text format, checking exit codes and output.
 
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -17,6 +17,19 @@ fn rtsync() -> Command {
 
 fn run(args: &[&str]) -> Output {
     rtsync().args(args).output().expect("binary runs")
+}
+
+/// Runs `rtsync` with `input` on its stdin.
+fn run_with_stdin(args: &[&str], input: &[u8]) -> Output {
+    let mut child = rtsync()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    child.wait_with_output().unwrap()
 }
 
 fn stdout(out: &Output) -> String {
@@ -337,4 +350,55 @@ fn closed_stdout_exits_quietly() {
     assert_eq!(out.status.code(), Some(141), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn admit_malformed_input_exits_cleanly() {
+    // Exit status and stderr, after checking stderr holds no panic.
+    let verdict = |out: &Output| {
+        let err = stderr(out);
+        assert!(!err.contains("panicked"), "{err}");
+        (out.status.code(), err)
+    };
+
+    let out = run_with_stdin(&["admit", "-"], b"not json\n");
+    let (code, err) = verdict(&out);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("request 1: bad literal"), "{err}");
+    assert!(out.stdout.is_empty());
+
+    // A valid request and then a truncated one: the first is answered
+    // before the second fails, streamed from stdin and from a batch file.
+    let input = "{\"op\":\"admit\",\"id\":1,\"period\":10,\"subtasks\":[[0,2]]}\n\
+                 {\"op\":\"admit\",\"id\":2,\"per\n";
+    let dir = std::env::temp_dir().join(format!("rtsync-cli-admit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("truncated.jsonl");
+    std::fs::write(&file, input).unwrap();
+    for out in [
+        run_with_stdin(&["admit", "-"], input.as_bytes()),
+        run(&["admit", file.to_str().unwrap(), "--batch"]),
+    ] {
+        let (code, err) = verdict(&out);
+        assert_eq!(code, Some(1), "{err}");
+        assert!(err.contains("request 2: unterminated string"), "{err}");
+        let replies = stdout(&out);
+        assert_eq!(replies.lines().count(), 1, "{replies}");
+        assert!(
+            replies.starts_with("{\"op\":\"admit\",\"id\":1,\"admitted\":true"),
+            "{replies}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let out = run_with_stdin(&["admit", "-"], b"\xff\xfe\n");
+    let (code, err) = verdict(&out);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("reading stdin"), "{err}");
+
+    let out = run_with_stdin(&["admit", "-"], b"\n\n   \n");
+    let (code, err) = verdict(&out);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("served 0 requests"), "{err}");
+    assert!(out.stdout.is_empty());
 }
