@@ -37,7 +37,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::analysis::ieert::{ieert_pass, ieert_pass_gauss_seidel, IeerBounds};
+use crate::analysis::ieert::{IeerBounds, IeertEngine};
 use crate::analysis::AnalysisConfig;
 use crate::error::AnalyzeError;
 use crate::task::{SubtaskId, TaskId, TaskSet};
@@ -104,7 +104,11 @@ impl DsBounds {
     }
 }
 
-/// Runs Algorithm SA/DS with the literal Jacobi sweeps of Figure 11.
+/// Runs Algorithm SA/DS with the Jacobi sweeps of Figure 11.
+///
+/// The sweeps are computed incrementally (by `ieert::IeertEngine`); bounds,
+/// sweep count and errors are those of literal
+/// [`ieert_pass`](crate::analysis::ieert::ieert_pass) sweeps.
 ///
 /// # Errors
 ///
@@ -147,23 +151,32 @@ pub fn analyze_ds_seeded(
     order: SweepOrder,
     seed: IeerBounds,
 ) -> Result<DsBounds, AnalyzeError> {
-    let mut bounds = seed;
+    run(set, cfg, order, seed, |_| {})
+}
+
+/// The outer loop of Figure 11: sweeps until the bounds stop moving,
+/// calling `on_sweep` after every completed sweep.
+fn run(
+    set: &TaskSet,
+    cfg: &AnalysisConfig,
+    order: SweepOrder,
+    seed: IeerBounds,
+    mut on_sweep: impl FnMut(&IeertEngine<'_>),
+) -> Result<DsBounds, AnalyzeError> {
+    let mut engine = IeertEngine::new(set, cfg, order == SweepOrder::GaussSeidel, seed);
     for sweep in 1..=cfg.max_outer_iterations {
-        let next = match order {
-            SweepOrder::Jacobi => ieert_pass(set, &bounds, cfg)?,
-            SweepOrder::GaussSeidel => ieert_pass_gauss_seidel(set, &bounds, cfg)?,
-        };
-        if next == bounds {
+        let moved = engine.sweep()?;
+        on_sweep(&engine);
+        if !moved {
             return Ok(DsBounds {
-                bounds,
+                bounds: engine.bounds(),
                 sweeps: sweep,
             });
         }
-        bounds = next;
     }
     // Still growing after the sweep budget: treat as the failure outcome,
     // attributed to the subtask with the largest bound-to-period ratio.
-    let worst = worst_ratio_subtask(set, &bounds);
+    let worst = worst_ratio_subtask(set, &engine.bounds());
     Err(AnalyzeError::IterationLimit {
         subtask: worst,
         limit: cfg.max_outer_iterations,
@@ -257,54 +270,46 @@ pub fn analyze_ds_traced(
     cfg: &AnalysisConfig,
     order: SweepOrder,
 ) -> Result<(Option<DsBounds>, IeertReport), AnalyzeError> {
-    let task_bounds = |b: &IeerBounds| -> Vec<Dur> {
-        (0..set.num_tasks())
-            .map(|i| b.task_bound(TaskId::new(i)))
-            .collect()
-    };
-    let mut bounds = IeerBounds::seed(set);
+    let seed = IeerBounds::seed(set);
     let mut report = IeertReport {
         sweeps: 0,
         converged: false,
-        trajectory: vec![task_bounds(&bounds)],
+        trajectory: vec![(0..set.num_tasks())
+            .map(|i| seed.task_bound(TaskId::new(i)))
+            .collect()],
         deltas: Vec::new(),
     };
-    for sweep in 1..=cfg.max_outer_iterations {
-        let next = match order {
-            SweepOrder::Jacobi => ieert_pass(set, &bounds, cfg),
-            SweepOrder::GaussSeidel => ieert_pass_gauss_seidel(set, &bounds, cfg),
-        };
-        let next = match next {
-            Ok(next) => next,
-            // The failure criterion fired mid-sweep: the bounds grew past
-            // `failure_factor × period` — record what we saw and stop.
-            Err(e) if e.is_failure() => {
-                report.sweeps = sweep;
-                return Ok((None, report));
-            }
-            Err(e) => return Err(e),
-        };
-        report.sweeps = sweep;
-        let delta = set
-            .subtasks()
-            .map(|s| next.get(s.id()) - bounds.get(s.id()))
-            .max()
-            .unwrap_or(Dur::ZERO);
-        report.deltas.push(delta);
-        report.trajectory.push(task_bounds(&next));
-        if next == bounds {
+    let outcome = run(set, cfg, order, seed, |engine| {
+        let (before, after) = engine.last_sweep();
+        report.sweeps += 1;
+        report.deltas.push(
+            before
+                .iter()
+                .zip(after)
+                .map(|(&b, &a)| a - b)
+                .max()
+                .unwrap_or(Dur::ZERO),
+        );
+        report
+            .trajectory
+            .push((0..set.num_tasks()).map(|i| engine.task_bound(i)).collect());
+    });
+    match outcome {
+        Ok(bounds) => {
             report.converged = true;
-            return Ok((
-                Some(DsBounds {
-                    bounds,
-                    sweeps: sweep,
-                }),
-                report,
-            ));
+            Ok((Some(bounds), report))
         }
-        bounds = next;
+        // The failure criterion fired: the bounds grew past
+        // `failure_factor × period` mid-sweep (that sweep counts, with no
+        // row), or the sweep budget ran out.
+        Err(e) if e.is_failure() => {
+            if report.sweeps < cfg.max_outer_iterations {
+                report.sweeps += 1;
+            }
+            Ok((None, report))
+        }
+        Err(e) => Err(e),
     }
-    Ok((None, report))
 }
 
 fn worst_ratio_subtask(set: &TaskSet, bounds: &IeerBounds) -> SubtaskId {

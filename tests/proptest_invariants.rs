@@ -2,8 +2,12 @@
 //! paper's theorems exercised far beyond its running examples.
 
 use proptest::prelude::*;
-use rtsync::core::analysis::sa_ds::analyze_ds;
+use rtsync::core::analysis::ieert::{ieert_pass, ieert_pass_gauss_seidel, IeerBounds};
+use rtsync::core::analysis::sa_ds::{
+    analyze_ds, analyze_ds_seeded, analyze_ds_traced, IeertReport, SweepOrder,
+};
 use rtsync::core::analysis::sa_pm::analyze_pm;
+use rtsync::core::error::AnalyzeError;
 use rtsync::core::priority::{build_with_policy, ChainSpec, ProportionalDeadlineMonotonic};
 use rtsync::core::task::{SubtaskId, TaskId, TaskSet};
 use rtsync::core::time::{Dur, Time};
@@ -450,6 +454,153 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One IEERT sweep as Figure 10 reads, in either discipline.
+fn literal_pass(
+    set: &TaskSet,
+    bounds: &IeerBounds,
+    cfg: &AnalysisConfig,
+    order: SweepOrder,
+) -> Result<IeerBounds, AnalyzeError> {
+    match order {
+        SweepOrder::Jacobi => ieert_pass(set, bounds, cfg),
+        SweepOrder::GaussSeidel => ieert_pass_gauss_seidel(set, bounds, cfg),
+    }
+}
+
+/// Figure 11 read literally: sweeps of the Figure-10 oracle until the
+/// bounds stop moving, recording what `analyze_ds_traced` reports. The
+/// result is `(bounds, sweeps)`; a sweep budget that runs out is an
+/// `IterationLimit` on the largest bound-to-period ratio.
+fn literal_sa_ds(
+    set: &TaskSet,
+    cfg: &AnalysisConfig,
+    order: SweepOrder,
+    seed: IeerBounds,
+) -> (Result<(IeerBounds, u64), AnalyzeError>, IeertReport) {
+    let task_bounds =
+        |b: &IeerBounds| -> Vec<Dur> { set.tasks().iter().map(|t| b.task_bound(t.id())).collect() };
+    let mut bounds = seed;
+    let mut report = IeertReport {
+        trajectory: vec![task_bounds(&bounds)],
+        ..IeertReport::default()
+    };
+    for sweep in 1..=cfg.max_outer_iterations {
+        report.sweeps = sweep;
+        let next = match literal_pass(set, &bounds, cfg, order) {
+            Ok(next) => next,
+            Err(e) => return (Err(e), report),
+        };
+        let delta = set
+            .subtasks()
+            .map(|s| next.get(s.id()) - bounds.get(s.id()))
+            .max();
+        report.deltas.push(delta.unwrap_or(Dur::ZERO));
+        report.trajectory.push(task_bounds(&next));
+        if next == bounds {
+            report.converged = true;
+            return (Ok((bounds, sweep)), report);
+        }
+        bounds = next;
+    }
+    let mut worst = (SubtaskId::new(TaskId::new(0), 0), (i64::MIN, i64::MAX));
+    for sub in set.subtasks() {
+        let (b, p) = (
+            bounds.get(sub.id()).ticks(),
+            set.task(sub.id().task()).period().ticks(),
+        );
+        if b as i128 * worst.1 .1 as i128 > worst.1 .0 as i128 * p as i128 {
+            worst = (sub.id(), (b, p));
+        }
+    }
+    let limit = AnalyzeError::IterationLimit {
+        subtask: worst.0,
+        limit: cfg.max_outer_iterations,
+    };
+    (Err(limit), report)
+}
+
+/// The default analysis; one with a small failure factor and sweep budget,
+/// so that `BoundExceedsCap`, `Overload` and `IterationLimit` all occur;
+/// or one that also starves every fixed point of iterations.
+fn arb_analysis_config() -> impl Strategy<Value = AnalysisConfig> {
+    (0u8..3, 1i64..=12, 1u64..=8, 2u64..=8).prop_map(
+        |(mode, failure_factor, max_outer_iterations, max_fixed_point_iterations)| {
+            let small = AnalysisConfig {
+                failure_factor,
+                max_outer_iterations,
+                ..AnalysisConfig::default()
+            };
+            match mode {
+                0 => AnalysisConfig::default(),
+                1 => small,
+                _ => AnalysisConfig {
+                    max_fixed_point_iterations,
+                    ..small
+                },
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incremental SA/DS engine (skipped subtasks, warm-started fixed
+    /// points, the demand cursor) returns exactly what literal sweeps of
+    /// `ieert_pass` return: bounds, sweep count and error, from the
+    /// optimistic seed and from `seed_with` priors. The priors mix values
+    /// from different sweeps of the literal run, all at or below the least
+    /// fixed point, so some sit above their own first sweep and the
+    /// inputs of their dependents shrink; others are arbitrary.
+    #[test]
+    fn incremental_sa_ds_matches_literal_sweeps(
+        set in arb_system(),
+        cfg in arb_analysis_config(),
+        picks in prop::collection::vec((0usize..4, 0usize..8, 0i64..=20), 12),
+        arbitrary in prop::bool::ANY,
+    ) {
+        for order in [SweepOrder::Jacobi, SweepOrder::GaussSeidel] {
+            let (want, want_report) = literal_sa_ds(&set, &cfg, order, IeerBounds::seed(&set));
+            let got = analyze_ds_seeded(&set, &cfg, order, IeerBounds::seed(&set))
+                .map(|b| (b.bounds().clone(), b.sweeps()));
+            prop_assert_eq!(&got, &want, "{:?} from the optimistic seed", order);
+            let traced = analyze_ds_traced(&set, &cfg, order)
+                .map(|(b, report)| (b.map(|b| (b.bounds().clone(), b.sweeps())), report));
+            let want_traced = match want {
+                Err(e) if !e.is_failure() => Err(e),
+                _ => Ok((want.ok(), want_report)),
+            };
+            prop_assert_eq!(traced, want_traced, "{:?} traced", order);
+        }
+
+        // Priors: the literal Jacobi trajectory from the optimistic seed
+        // climbs monotonically toward the least fixed point, so any of its
+        // rows is at or below it.
+        let mut rows = vec![IeerBounds::seed(&set)];
+        while rows.len() < 8 {
+            match ieert_pass(&set, rows.last().unwrap(), &cfg) {
+                Ok(next) if &next != rows.last().unwrap() => rows.push(next),
+                _ => break,
+            }
+        }
+        let subs: Vec<SubtaskId> = set.subtasks().map(|s| s.id()).collect();
+        let prior = |id: SubtaskId| {
+            let x = subs.iter().position(|&s| s == id).unwrap();
+            let (mode, row, scale) = picks[x % picks.len()];
+            let period = set.task(id.task()).period();
+            match (mode, arbitrary) {
+                (0, _) => None,
+                (_, true) => Some(period * scale),
+                _ => Some(rows[row % rows.len()].get(id)),
+            }
+        };
+        let seed = IeerBounds::seed_with(&set, prior);
+        let (want, _) = literal_sa_ds(&set, &cfg, SweepOrder::Jacobi, seed.clone());
+        let got = analyze_ds_seeded(&set, &cfg, SweepOrder::Jacobi, seed);
+        prop_assert_eq!(got.map(|b| (b.bounds().clone(), b.sweeps())), want, "seeded");
     }
 }
 
